@@ -14,7 +14,7 @@
 #include "core/blocks.hpp"
 #include "perfmodel/single_cache_model.hpp"
 #include "perfmodel/stream.hpp"
-#include "topo/affinity.hpp"
+#include "topo/machine.hpp"
 #include "util/args.hpp"
 #include "util/table.hpp"
 

@@ -1,4 +1,5 @@
-// Tuning parameters of the pipelined temporal blocking scheme.
+// Tuning parameters of the temporally blocked schemes: the pipeline and
+// the wavefront (a fixed plan of the same pipeline engine).
 #pragma once
 
 #include <stdexcept>
@@ -40,7 +41,6 @@ struct PipelineConfig {
   int dt = 0;                ///< extra delay between consecutive teams
   SyncMode sync = SyncMode::kRelaxed;
   GridScheme scheme = GridScheme::kTwoGrid;
-  bool pin_threads = false;  ///< best-effort core pinning (no-op if absent)
 
   /// Levels advanced per team sweep: n * t * T.
   [[nodiscard]] int levels_per_sweep() const {
@@ -74,6 +74,17 @@ struct PipelineConfig {
            "x" + std::to_string(block.bz) + ",dl=" + std::to_string(dl) +
            ",du=" + std::to_string(du) + ",dt=" + std::to_string(dt) + "," +
            to_string(sync) + "," + to_string(scheme) + "]";
+  }
+};
+
+/// Tuning parameter of the wavefront scheme (Ref. [2]).  The facade runs
+/// it as a pipeline plan (see StencilSolver), so depth is its only knob.
+struct WavefrontConfig {
+  int threads = 4;  ///< wavefront depth = time levels per sweep
+
+  void validate() const {
+    if (threads < 1)
+      throw std::invalid_argument("WavefrontConfig: threads < 1");
   }
 };
 

@@ -30,13 +30,6 @@ struct RunStats {
   }
 };
 
-/// Applies one Jacobi level over window `w`: dst <- stencil(src).
-/// (Compatibility shim over the generic apply_box; Jacobi ignores the
-/// level argument.)
-inline void apply_jacobi_box(const Grid3& src, Grid3& dst, const Box& w) {
-  apply_box(JacobiOp{}, src, dst, w, 0);
-}
-
 /// Shared-memory pipelined solver on two grids, templated on the
 /// StencilOp (see core/stencil_op.hpp).  The row loop is instantiated per
 /// operator, so it stays inlined and auto-vectorized.

@@ -42,12 +42,12 @@ std::string SolverSession::fingerprint(const SolveRequest& req) {
   os << p.teams << ',' << p.team_size << ',' << p.steps_per_thread << ','
      << p.block.bx << ',' << p.block.by << ',' << p.block.bz << ',' << p.dl
      << ',' << p.du << ',' << p.dt << ',' << static_cast<int>(p.sync) << ','
-     << static_cast<int>(p.scheme) << ',' << p.pin_threads << '|';
+     << static_cast<int>(p.scheme) << '|';
   const BaselineConfig& b = c.baseline;
   os << b.threads << ',' << b.block.bx << ',' << b.block.by << ','
      << b.block.bz << ',' << b.nontemporal << ','
      << static_cast<int>(b.placement) << '|';
-  os << c.wavefront.threads << ',' << c.wavefront.by << '|';
+  os << c.wavefront.threads << '|';
   os << c.lbm.omega << ',' << c.lbm.rho0 << ',' << c.lbm.lid_velocity[0]
      << ',' << c.lbm.lid_velocity[1] << ',' << c.lbm.lid_velocity[2] << ','
      << static_cast<int>(c.lbm_storage) << ',' << c.lbm_geometry_from_aux

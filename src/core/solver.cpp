@@ -93,6 +93,27 @@ struct OpState<lbm::LbmOp> {
   }
 };
 
+/// The wavefront of Ref. [2] as a pipeline plan: one team of t stages,
+/// one update each (T = 1) on blocks of one whole xy-plane, every stage
+/// one block behind the next in lock step (barrier sync, d_l = d_u = 1).
+/// Stage i thus updates level i+1 on plane z = k - 2i at step k, the
+/// 2-plane spacing of the original method.  The block's x/y extents
+/// cover the plane plus the t-1 cells the time skew shifts it by.
+PipelineConfig wavefront_plan(const WavefrontConfig& wf, int nx, int ny) {
+  wf.validate();
+  PipelineConfig p;
+  p.teams = 1;
+  p.team_size = wf.threads;
+  p.steps_per_thread = 1;
+  p.block = {nx + wf.threads, ny + wf.threads, 1};
+  p.dl = 1;
+  p.du = 1;
+  p.dt = 0;
+  p.sync = SyncMode::kBarrier;
+  p.scheme = GridScheme::kTwoGrid;
+  return p;
+}
+
 }  // namespace
 
 struct StencilSolver::Impl {
@@ -121,19 +142,22 @@ struct StencilSolver::OpImpl final : StencilSolver::Impl {
         nz_(initial.nz()),
         a_(nx_, ny_, nz_),
         b_(nx_, ny_, nz_) {
+    // The wavefront is a fixed plan of the pipelined two-grid solver;
+    // from here on it shares the pipelined construction and advance path.
+    if (cfg.variant == Variant::kWavefront)
+      cfg_.pipeline = wavefront_plan(cfg.wavefront, nx_, ny_);
+    const bool blocked = cfg.variant == Variant::kPipelined ||
+                         cfg.variant == Variant::kWavefront;
+
     // Establish page placement before the first write of actual data.
     // The temporally blocked variants defeat first-touch locality (every
     // thread sweeps through every block or plane), so they use
     // round-robin interleaving; the baseline keeps classic first-touch
     // (Sec. 1.3).
-    const bool spread = cfg.variant == Variant::kPipelined ||
-                        cfg.variant == Variant::kWavefront;
     const topo::PagePlacement placement =
-        spread ? topo::PagePlacement::kRoundRobin : cfg.baseline.placement;
+        blocked ? topo::PagePlacement::kRoundRobin : cfg.baseline.placement;
     const int touch_threads =
-        cfg.variant == Variant::kPipelined ? cfg.pipeline.total_threads()
-        : cfg.variant == Variant::kWavefront ? cfg.wavefront.threads
-                                             : cfg.baseline.threads;
+        blocked ? cfg_.pipeline.total_threads() : cfg.baseline.threads;
     topo::touch_pages(a_.data(), a_.size(), placement, touch_threads);
     topo::touch_pages(b_.data(), b_.size(), placement, touch_threads);
 
@@ -148,33 +172,22 @@ struct StencilSolver::OpImpl final : StencilSolver::Impl {
         baseline_ = std::make_unique<BaselineSolver<Op>>(cfg.baseline, nx_,
                                                          ny_, nz_, op);
         break;
-      case Variant::kPipelined: {
+      case Variant::kPipelined:
+      case Variant::kWavefront: {
         cfg_.pipeline.validate();
-        if (cfg.pipeline.scheme == GridScheme::kTwoGrid) {
-          pipelined_ = std::make_unique<PipelinedSolver<Op>>(cfg.pipeline,
+        if (cfg_.pipeline.scheme == GridScheme::kTwoGrid) {
+          pipelined_ = std::make_unique<PipelinedSolver<Op>>(cfg_.pipeline,
                                                              nx_, ny_, nz_,
                                                              op);
         } else {
-          compressed_ = std::make_unique<CompressedSolver<Op>>(cfg.pipeline,
+          compressed_ = std::make_unique<CompressedSolver<Op>>(cfg_.pipeline,
                                                                nx_, ny_,
                                                                nz_, op);
         }
         // Remainder steps (not a multiple of n*t*T) run as baseline
         // sweeps.
         BaselineConfig rem = cfg.baseline;
-        rem.threads = cfg.pipeline.total_threads();
-        baseline_ = std::make_unique<BaselineSolver<Op>>(rem, nx_, ny_, nz_,
-                                                         op);
-        break;
-      }
-      case Variant::kWavefront: {
-        cfg_.wavefront.validate();
-        wavefront_ = std::make_unique<WavefrontSolver<Op>>(cfg.wavefront,
-                                                           nx_, ny_, nz_,
-                                                           op);
-        // Remainder steps (not a multiple of the wavefront depth t).
-        BaselineConfig rem = cfg.baseline;
-        rem.threads = cfg.wavefront.threads;
+        rem.threads = cfg_.pipeline.total_threads();
         baseline_ = std::make_unique<BaselineSolver<Op>>(rem, nx_, ny_, nz_,
                                                          op);
         break;
@@ -210,9 +223,7 @@ struct StencilSolver::OpImpl final : StencilSolver::Impl {
         break;
       case Variant::kPipelined:
       case Variant::kWavefront: {
-        const int depth = cfg_.variant == Variant::kPipelined
-                              ? cfg_.pipeline.levels_per_sweep()
-                              : cfg_.wavefront.threads;
+        const int depth = cfg_.pipeline.levels_per_sweep();
         const int sweeps = steps / depth;
         const int remainder = steps % depth;
         if (sweeps > 0)
@@ -284,11 +295,9 @@ struct StencilSolver::OpImpl final : StencilSolver::Impl {
       compressed_->store(a_);
       return st;
     }
-    const int depth = pipelined_ ? cfg_.pipeline.levels_per_sweep()
-                                 : cfg_.wavefront.threads;
-    RunStats st = pipelined_ ? pipelined_->run(a_, b_, sweeps, 0)
-                             : wavefront_->run(a_, b_, sweeps, 0);
-    if ((sweeps * depth) % 2 != 0) std::swap(a_, b_);
+    RunStats st = pipelined_->run(a_, b_, sweeps, 0);
+    if ((sweeps * cfg_.pipeline.levels_per_sweep()) % 2 != 0)
+      std::swap(a_, b_);
     return st;
   }
 
@@ -300,7 +309,6 @@ struct StencilSolver::OpImpl final : StencilSolver::Impl {
   std::unique_ptr<BaselineSolver<Op>> baseline_;
   std::unique_ptr<PipelinedSolver<Op>> pipelined_;
   std::unique_ptr<CompressedSolver<Op>> compressed_;
-  std::unique_ptr<WavefrontSolver<Op>> wavefront_;
 };
 
 namespace {

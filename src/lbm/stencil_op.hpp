@@ -4,8 +4,8 @@
 // the Jacobi prototype and the announced LBM flow solver.  This header
 // delivers that literally: stream-collide is an operator on the generic
 // scheme templates (BaselineSolver<LbmOp>, PipelinedSolver<LbmOp>,
-// CompressedSolver<LbmOp>, WavefrontSolver<LbmOp>) instead of its own
-// engine client.
+// CompressedSolver<LbmOp>; the wavefront runs as a PipelinedSolver plan)
+// instead of its own engine client.
 //
 // Multi-component state.  The schemes move a scalar *carrier* grid pair
 // through their schedules; the 19 particle distributions and the

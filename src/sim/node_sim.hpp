@@ -1,8 +1,9 @@
 // Discrete-event node simulator.
 //
 // The paper's Fig. 3 numbers are wall-clock measurements on a dual-socket
-// Nehalem EP; this environment is a single-core VM, so real timings carry
-// no information about the paper's bottlenecks.  The simulator replays the
+// Nehalem EP.  Timings on a host with another topology (one socket, a
+// different cache size or memory bandwidth) say little about that
+// machine's bottlenecks, so the simulator replays the
 // *exact pipeline schedule* of the real implementation (same BlockPlan,
 // same windows, same dl/du/dt clearance rules, same barrier placement) on
 // a modeled machine with:

@@ -10,8 +10,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <string>
+#include <thread>
 
-#include "topo/affinity.hpp"
 #include "topo/machine.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -47,6 +47,11 @@ std::size_t sysfs_cache_bytes(const char* path) {
 }
 
 }  // namespace
+
+int hardware_cores() {
+  const unsigned n = std::thread::hardware_concurrency();
+  return n == 0 ? 1 : static_cast<int>(n);
+}
 
 MachineSpec host_machine() {
   MachineSpec m;

@@ -74,6 +74,10 @@ struct MachineSpec {
 /// this spec, so two runs on the same machine must agree.
 [[nodiscard]] MachineSpec host_machine();
 
+/// Number of hardware threads actually available on this host (at
+/// least 1).
+[[nodiscard]] int hardware_cores();
+
 /// The paper's testbed: dual-socket Intel Xeon 5550 (Nehalem EP), 2.66 GHz,
 /// 8 MB shared L3 per socket, Ms = 18.5 GB/s, Ms,1 = 10 GB/s, Mc ~ 8*Ms,1.
 [[nodiscard]] inline MachineSpec nehalem_ep() {

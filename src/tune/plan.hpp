@@ -101,8 +101,8 @@ struct Candidate {
                std::to_string(cfg.pipeline.block.bz) +
                ",du=" + std::to_string(cfg.pipeline.du) + "]";
       case core::Variant::kWavefront:
-        return variant_tag + "[t=" + std::to_string(cfg.wavefront.threads) +
-               ",by=" + std::to_string(cfg.wavefront.by) + "]";
+        return variant_tag + "[t=" +
+               std::to_string(cfg.wavefront.threads) + "]";
       case core::Variant::kBaseline:
         return variant_tag +
                "[threads=" + std::to_string(cfg.baseline.threads) +

@@ -196,7 +196,8 @@ std::size_t TuningCache::load() {
 
     core::WavefrontConfig& wf = e.plan.cfg.wavefront;
     wf.threads = as_int(o, "wf_threads", wf.threads);
-    wf.by = as_int(o, "wf_by", wf.by);
+    // Older files also carry the wavefront's former y tile, which never
+    // changed the schedule; like any unknown key it is ignored.
 
     e.plan.cfg.lbm_storage = as_int(o, "lbm_aa", 0) != 0
                                  ? lbm::LbmStorage::kAA
@@ -248,7 +249,7 @@ bool TuningCache::save() const {
         << "     \"bl_threads\": " << bl.threads << ", \"bl_bx\": "
         << bl.block.bx << ", \"bl_by\": " << bl.block.by << ", \"bl_bz\": "
         << bl.block.bz << ", \"nontemporal\": " << (bl.nontemporal ? 1 : 0)
-        << ", \"wf_threads\": " << wf.threads << ", \"wf_by\": " << wf.by
+        << ", \"wf_threads\": " << wf.threads
         << ", \"lbm_aa\": "
         << (e.plan.cfg.lbm_storage == lbm::LbmStorage::kAA ? 1 : 0)
         << ", \"lbm_prefetch\": " << e.plan.cfg.lbm_prefetch

@@ -1,7 +1,8 @@
 // Minimal command-line flag parser for examples and bench drivers.
 //
 // Supports `--name value` and `--name=value` forms plus boolean switches.
-// Unrecognized flags are collected so callers can report them.
+// Every flag is stored as given: a flag no accessor asks for is silently
+// ignored, and nothing reports it.
 #pragma once
 
 #include <cstdint>

@@ -42,7 +42,8 @@ void run_with_delays(const PipelineConfig& cfg, Grid3& a, Grid3& b,
             std::chrono::microseconds((h >> 11) % (max_delay_us + 1)));
       }
       const int global = base + level;
-      apply_jacobi_box(*grids[(global + 1) % 2], *grids[global % 2], w);
+      apply_box(JacobiOp{}, *grids[(global + 1) % 2], *grids[global % 2], w,
+                global);
     });
   }
 }

@@ -79,7 +79,6 @@ TEST_P(StencilMatrix, BitIdenticalToReference) {
   cfg.pipeline.steps_per_thread = 2;  // depth 4
   cfg.pipeline.block = {6, 5, 4};
   cfg.wavefront.threads = 3;          // depth 3
-  cfg.wavefront.by = 4;
 
   StencilSolver solver = make_solver(c.variant, c.op, cfg, initial, &kappa);
   solver.advance(c.steps);
@@ -300,6 +299,24 @@ TEST(StencilFacade, WavefrontIncrementalAdvanceEqualsOneShot) {
   stepwise.advance(5);  // 1 sweep + 2 remainder
   EXPECT_EQ(stepwise.levels_done(), 9);
   EXPECT_EQ(max_abs_diff(once.solution(), stepwise.solution()), 0.0);
+}
+
+TEST(StencilFacade, DeepWavefrontOverFewPlanesMatchesEveryOracle) {
+  // A wave deeper than the plane count (6 levels over 4 interior planes)
+  // clips most of its windows away; every operator must still match its
+  // oracle, remainder sweeps included (16 = 2 x 6 + 4).
+  const Grid3 initial = make_initial(10, 9, 6);
+  const Grid3 kappa = make_kappa(10, 9, 6);
+  SolverConfig cfg;
+  cfg.wavefront.threads = 6;
+  for (const std::string& op : registered_operators()) {
+    StencilSolver solver = make_solver("wavefront", op, cfg, initial, &kappa);
+    solver.advance(16);
+    EXPECT_EQ(max_abs_diff(solver.solution(),
+                           reference_result_op(op, initial, kappa, 16)),
+              0.0)
+        << op;
+  }
 }
 
 TEST(StencilFacade, CompressedVarCoefMatchesTwoGridVarCoef) {

@@ -1,19 +1,20 @@
-// Tests of the wavefront comparator (Ref. [2]).
+// Tests of the wavefront comparator (Ref. [2]): the facade's plane-block
+// plan of the pipelined solver, and the capacity model behind it.
 #include <gtest/gtest.h>
 
 #include "support/grid_test_utils.hpp"
-#include "core/reference.hpp"
-#include "core/wavefront.hpp"
+#include "core/registry.hpp"
 #include "perfmodel/wavefront_model.hpp"
 
 namespace tb::core {
 namespace {
 
 using tb::test::make_initial;
+using tb::test::reference_result;
 
 struct WaveCase {
   int threads;
-  int by;
+  int extra_steps;  ///< levels past the whole sweeps: remainder sweeps
   std::array<int, 3> grid;
   int sweeps;
 };
@@ -23,44 +24,39 @@ class Wavefront : public ::testing::TestWithParam<WaveCase> {};
 TEST_P(Wavefront, BitIdenticalToReference) {
   const WaveCase c = GetParam();
   const Grid3 initial = make_initial(c.grid[0], c.grid[1], c.grid[2]);
-  Grid3 a = initial.clone(), b = initial.clone();
-  Grid3 ra = initial.clone(), rb = initial.clone();
-
-  WavefrontConfig cfg;
-  cfg.threads = c.threads;
-  cfg.by = c.by;
-  WavefrontJacobi solver(cfg, c.grid[0], c.grid[1], c.grid[2]);
-  solver.run(a, b, c.sweeps);
-  Grid3& got = solver.result(a, b, c.sweeps);
-  Grid3& want = reference_solve(ra, rb, c.sweeps * c.threads);
-  EXPECT_EQ(max_abs_diff(got, want), 0.0);
+  SolverConfig cfg;
+  cfg.wavefront.threads = c.threads;
+  StencilSolver solver = make_solver("wavefront", "jacobi", cfg, initial);
+  const int steps = c.sweeps * c.threads + c.extra_steps;
+  solver.advance(steps);
+  EXPECT_EQ(max_abs_diff(solver.solution(), reference_result(initial, steps)),
+            0.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, Wavefront,
     ::testing::Values(WaveCase{1, 4, {12, 12, 12}, 3},
                       WaveCase{2, 4, {14, 12, 16}, 2},
-                      WaveCase{3, 2, {16, 10, 18}, 2},
+                      WaveCase{3, 2, {16, 10, 18}, 2},  // remainder 2
                       WaveCase{4, 16, {12, 18, 20}, 1},
-                      // Wave deeper than the plane count: heavy clipping.
+                      // Wave deeper than the plane count (6 levels over 4
+                      // interior planes): heavy clipping, remainder 4.
                       WaveCase{6, 4, {10, 10, 6}, 2},
                       WaveCase{2, 100, {12, 12, 12}, 2}));
 
 TEST(Wavefront, RejectsBadConfig) {
-  WavefrontConfig cfg;
-  cfg.threads = 0;
-  EXPECT_THROW(WavefrontJacobi(cfg, 8, 8, 8), std::invalid_argument);
+  SolverConfig cfg;
+  cfg.wavefront.threads = 0;
+  EXPECT_THROW(make_solver("wavefront", "jacobi", cfg, make_initial(8)),
+               std::invalid_argument);
 }
 
 TEST(Wavefront, WorkingSetGrowsWithDepthAndPlane) {
-  WavefrontConfig cfg;
-  cfg.threads = 2;
-  const WavefrontJacobi small(cfg, 64, 64, 64);
-  cfg.threads = 4;
-  const WavefrontJacobi deep(cfg, 64, 64, 64);
-  const WavefrontJacobi wide(cfg, 128, 128, 64);
-  EXPECT_GT(deep.working_set_bytes(), small.working_set_bytes());
-  EXPECT_GT(wide.working_set_bytes(), deep.working_set_bytes());
+  const std::size_t small = perfmodel::wavefront_working_set(64, 64, 2);
+  const std::size_t deep = perfmodel::wavefront_working_set(64, 64, 4);
+  const std::size_t wide = perfmodel::wavefront_working_set(128, 128, 4);
+  EXPECT_GT(deep, small);
+  EXPECT_GT(wide, deep);
 }
 
 TEST(WavefrontModel, CapacityCrossover) {

@@ -63,7 +63,6 @@ TEST(TuningCache, RoundTripsPlansFieldExact) {
     wf.variant = "wavefront";
     core::apply_variant(wf.cfg, "wavefront");
     wf.cfg.wavefront.threads = 3;
-    wf.cfg.wavefront.by = 8;
     wf.measured_mlups = 99.5;
     cache.put(cube(48, "varcoef"), wf);
     // A bare-"lbm" problem whose winning schedule carries the AA
@@ -181,6 +180,48 @@ TEST(TuningCache, CorruptEntriesAreSkippedNotFatal) {
   TuningCache cache(path, sig);
   EXPECT_EQ(cache.load(), 1u);
   EXPECT_TRUE(cache.find(cube(32)).has_value());
+  std::remove(path.c_str());
+}
+
+TEST(TuningCache, FileFromBeforeTheWavefrontLostItsTileReplays) {
+  // A format-1 file as written while the wavefront still carried a y
+  // tile ("wf_by"): the extra key is ignored, the entry loads, and the
+  // planner replays it with zero probes into a bit-exact solver.
+  const std::string path = temp_path("wf_by");
+  PlanOptions opts;
+  opts.machine = topo::nehalem_ep_socket();
+  opts.cache_path = path;
+  {
+    std::ofstream out(path);
+    out << "{\n  \"version\": 1,\n  \"signature\": \""
+        << machine_signature(*opts.machine) << "\",\n  \"entries\": [\n"
+        << "    {\"nx\": 12, \"ny\": 12, \"nz\": 12, \"op\": \"jacobi\", "
+           "\"constraint\": \"wavefront\",\n"
+           "     \"variant\": \"wavefront\", \"teams\": 1, "
+           "\"team_size\": 4, \"T\": 1, \"bx\": 120, \"by\": 20, "
+           "\"bz\": 20, \"dl\": 1, \"du\": 4, \"dt\": 0,\n"
+           "     \"bl_threads\": 3, \"bl_bx\": 120, \"bl_by\": 20, "
+           "\"bl_bz\": 20, \"nontemporal\": 0, \"wf_threads\": 3, "
+           "\"wf_by\": 8, \"lbm_aa\": 0, \"lbm_prefetch\": 0,\n"
+           "     \"predicted_mlups\": 100.5, \"measured_mlups\": 200.25}\n"
+        << "  ]\n}\n";
+  }
+  Problem p = cube(12);
+  p.variant = "wavefront";
+  const Plan replay = plan(p, opts);
+  EXPECT_TRUE(replay.from_cache);
+  EXPECT_EQ(replay.probes_run, 0);
+  EXPECT_EQ(replay.best.variant, "wavefront");
+  EXPECT_EQ(replay.best.cfg.wavefront.threads, 3);
+  EXPECT_DOUBLE_EQ(replay.best.measured_mlups, 200.25);
+
+  const core::Grid3 initial = make_initial(12);
+  core::StencilSolver s =
+      core::make_solver("wavefront", "jacobi", replay.best.cfg, initial);
+  s.advance(7);  // two sweeps of depth 3 plus one remainder step
+  EXPECT_EQ(core::max_abs_diff(s.solution(),
+                               tb::test::reference_result(initial, 7)),
+            0.0);
   std::remove(path.c_str());
 }
 
