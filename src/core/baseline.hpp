@@ -169,6 +169,11 @@ class BaselineSolver {
 
   [[nodiscard]] const BaselineConfig& config() const { return cfg_; }
 
+  /// The solver's thread team.  StencilSolver also runs its level-0
+  /// fills (carrier copies, operator state) on it, so those fills are
+  /// the pages' first touch by the threads that sweep them.
+  [[nodiscard]] util::ThreadPool& pool() { return pool_; }
+
  private:
   BaselineConfig cfg_;
   Op op_;

@@ -22,20 +22,12 @@ namespace detail {
 template <typename Fn, typename Combine>
 double plane_reduce(const Grid3& g, util::ThreadPool* pool, Fn fn,
                     Combine combine, double init) {
-  const int k0 = 1, k1 = g.nz() - 1;
-  if (pool == nullptr || pool->size() <= 1) {
-    double acc = init;
-    for (int k = k0; k < k1; ++k) acc = combine(acc, fn(k));
-    return acc;
-  }
-  const int workers = pool->size();
-  std::vector<double> partial(static_cast<std::size_t>(workers), init);
-  pool->run([&](int w) {
-    const int lo = k0 + (k1 - k0) * w / workers;
-    const int hi = k0 + (k1 - k0) * (w + 1) / workers;
+  std::vector<double> partial(
+      static_cast<std::size_t>(util::slab_count(pool)), init);
+  util::for_each_slab(pool, 1, g.nz() - 1, [&](int s, int lo, int hi) {
     double acc = init;
     for (int k = lo; k < hi; ++k) acc = combine(acc, fn(k));
-    partial[static_cast<std::size_t>(w)] = acc;
+    partial[static_cast<std::size_t>(s)] = acc;
   });
   double acc = init;
   for (double p : partial) acc = combine(acc, p);

@@ -1,5 +1,6 @@
 #include "core/solver.hpp"
 
+#include <cstring>
 #include <stdexcept>
 #include <utility>
 
@@ -13,10 +14,20 @@ namespace tb::core {
 
 namespace {
 
-void copy_grid(const Grid3& src, Grid3& dst) {
-  for (int k = 0; k < src.nz(); ++k)
-    for (int j = 0; j < src.ny(); ++j)
-      for (int i = 0; i < src.nx(); ++i) dst.at(i, j, k) = src.at(i, j, k);
+/// Level-0 carrier write: `initial` into both grids (the boundary values
+/// must exist in both parities), one row memcpy at a time over k-slabs of
+/// `team` (null: the calling thread).
+void copy_carriers(util::ThreadPool* team, const Grid3& initial, Grid3& a,
+                   Grid3& b) {
+  const std::size_t row_bytes =
+      static_cast<std::size_t>(initial.nx()) * sizeof(double);
+  util::for_each_slab(team, 0, initial.nz(), [&](int, int lo, int hi) {
+    for (int k = lo; k < hi; ++k)
+      for (int j = 0; j < initial.ny(); ++j) {
+        std::memcpy(a.row(j, k), initial.row(j, k), row_bytes);
+        std::memcpy(b.row(j, k), initial.row(j, k), row_bytes);
+      }
+  });
 }
 
 /// Per-operator construction state.  The generic case is stateless; the
@@ -33,10 +44,12 @@ struct OpState {
   /// Cells one level actually updates, or -1 for "every interior cell"
   /// (the geometry-oblivious operators).
   [[nodiscard]] long long updates_per_level() const { return -1; }
-  /// Rewind hook (StencilSolver::reset): stateless operators have
-  /// nothing to rebuild.
+  /// Level-0 fill hook, run at construction (aux = nullptr: the state
+  /// was built from its aux inputs) and by every StencilSolver::reset,
+  /// on the solver's thread team when it has one.  Stateless operators
+  /// have nothing to fill.
   void reset(const SolverConfig& /*cfg*/, const Grid3& /*initial*/,
-             const Grid3* /*aux*/) {}
+             const Grid3* /*aux*/, util::ThreadPool* /*team*/) {}
 };
 
 template <>
@@ -49,7 +62,7 @@ struct OpState<VarCoefOp> {
   /// New kappa -> face coefficients rebuilt in place; no kappa -> the
   /// existing material field stays (documented at StencilSolver::reset).
   void reset(const SolverConfig& /*cfg*/, const Grid3& /*initial*/,
-             const Grid3* aux) {
+             const Grid3* aux, util::ThreadPool* /*team*/) {
     if (aux != nullptr) coeffs.rebuild(*aux);
   }
 };
@@ -62,7 +75,7 @@ struct OpState<RedBlackOp> {
   [[nodiscard]] const lbm::LbmState* lbm() const { return nullptr; }
   [[nodiscard]] long long updates_per_level() const { return -1; }
   void reset(const SolverConfig& /*cfg*/, const Grid3& /*initial*/,
-             const Grid3* /*aux*/) {
+             const Grid3* /*aux*/, util::ThreadPool* /*team*/) {
     origin.base = 0;
   }
 };
@@ -80,15 +93,15 @@ struct OpState<lbm::LbmOp> {
   }
   /// Distributions back to the equilibrium of the new initial density,
   /// geometry rebuilt from the aux codes when the config sources it
-  /// there — all in the existing lattice allocations.
+  /// there — all in the existing lattice allocations, on the team.
   void reset(const SolverConfig& cfg, const Grid3& initial,
-             const Grid3* aux) {
+             const Grid3* aux, util::ThreadPool* team) {
     state.origin.base = 0;
     if (cfg.lbm_geometry_from_aux && aux != nullptr) {
       const lbm::Geometry geo = lbm::geometry_from_codes(*aux);
-      state.reset(initial, &geo);
+      state.reset(initial, &geo, team);
     } else {
-      state.reset(initial, nullptr);
+      state.reset(initial, nullptr, team);
     }
   }
 };
@@ -161,9 +174,6 @@ struct StencilSolver::OpImpl final : StencilSolver::Impl {
     topo::touch_pages(a_.data(), a_.size(), placement, touch_threads);
     topo::touch_pages(b_.data(), b_.size(), placement, touch_threads);
 
-    copy_grid(initial, a_);
-    copy_grid(initial, b_);  // boundary values must exist in both parities
-
     const Op op = state_.make();
     switch (cfg.variant) {
       case Variant::kReference:
@@ -193,6 +203,10 @@ struct StencilSolver::OpImpl final : StencilSolver::Impl {
         break;
       }
     }
+    // The level-0 fill runs once the team exists, on the team: the
+    // operator state (lbm lattices and masks) and both carriers.
+    state_.reset(cfg_, initial, nullptr, team());
+    copy_carriers(team(), initial, a_, b_);
     // Static facts about the operator's working set (lbm geometry row
     // classification, prefetch path) go to the registry once.
     if (obs::enabled())
@@ -251,12 +265,10 @@ struct StencilSolver::OpImpl final : StencilSolver::Impl {
       throw std::invalid_argument(
           "StencilSolver::reset: the new aux grid must match the "
           "constructed shape");
-    state_.reset(cfg_, initial, aux);
-    // Same double write as construction: the boundary values must exist
-    // in both parities.  The pages are already mapped, so the placement
-    // established at construction is untouched.
-    copy_grid(initial, a_);
-    copy_grid(initial, b_);
+    // The same fill as construction.  The pages are already mapped, so
+    // the placement established at construction is untouched.
+    state_.reset(cfg_, initial, aux, team());
+    copy_carriers(team(), initial, a_, b_);
   }
 
   /// The current level lives in a_ by invariant: every path below swaps
@@ -268,6 +280,13 @@ struct StencilSolver::OpImpl final : StencilSolver::Impl {
   }
 
  private:
+  /// The thread team of the level-0 fills: the baseline pool every
+  /// non-reference variant owns (its remainder sweeps run there too);
+  /// the reference variant fills on the calling thread.
+  [[nodiscard]] util::ThreadPool* team() {
+    return baseline_ ? &baseline_->pool() : nullptr;
+  }
+
   static void accumulate(RunStats& total, const RunStats& st) {
     total.seconds += st.seconds;
     total.cell_updates += st.cell_updates;
@@ -314,12 +333,13 @@ struct StencilSolver::OpImpl final : StencilSolver::Impl {
 namespace {
 
 /// The default lbm geometry when no auxiliary field is supplied: the
-/// lid-driven cavity of the grid's shape.
+/// lid-driven cavity of the grid's shape.  Unfilled — OpImpl fills it on
+/// its team.
 lbm::LbmState default_lbm_state(const SolverConfig& cfg,
                                 const Grid3& initial) {
   lbm::LbmState s(
       lbm::Geometry::cavity(initial.nx(), initial.ny(), initial.nz()),
-      cfg.lbm, initial, cfg.lbm_storage);
+      cfg.lbm, cfg.lbm_storage);
   s.prefetch = cfg.lbm_prefetch;
   return s;
 }
@@ -375,7 +395,7 @@ StencilSolver::StencilSolver(const SolverConfig& cfg, const Grid3& initial,
     throw std::invalid_argument(
         "StencilSolver: kappa shape must match the initial grid");
   if (cfg.op == Operator::kLbm) {
-    lbm::LbmState s(lbm::geometry_from_codes(kappa), cfg.lbm, initial,
+    lbm::LbmState s(lbm::geometry_from_codes(kappa), cfg.lbm,
                     cfg.lbm_storage);
     s.prefetch = cfg.lbm_prefetch;
     impl_ = std::make_unique<OpImpl<lbm::LbmOp>>(

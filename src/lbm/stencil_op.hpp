@@ -74,6 +74,7 @@
 #include "core/stencil_op.hpp"
 #include "lbm/kernel.hpp"
 #include "obs/registry.hpp"
+#include "util/thread_pool.hpp"
 
 namespace tb::lbm {
 
@@ -113,48 +114,57 @@ class LbmState {
   /// `initial_density` supplies the level-0 density per cell; the
   /// distributions start at the zero-velocity equilibrium of that
   /// density (non-positive values — unphysical for LBM — fall back to
-  /// cfg.rho0, so pattern-filled probe grids stay finite).
+  /// cfg.rho0, so pattern-filled probe grids stay finite).  Fills on the
+  /// calling thread; see reset() for a fill on a thread team.
   LbmState(Geometry geo, const LbmConfig& cfg,
            const core::Grid3& initial_density,
            LbmStorage storage = LbmStorage::kTwoLattice)
-      : geo_(std::move(geo)),
-        cfg_(cfg),
-        storage_(storage),
-        lid_(cfg) {
+      : LbmState(std::move(geo), cfg, storage) {
+    reset(initial_density, nullptr);
+  }
+
+  /// Geometry and parameters only: no lattice exists until the first
+  /// reset(), which must run before any update or lattice access.  The
+  /// solver facade constructs this way so it can build its thread team
+  /// first and fill through it.
+  LbmState(Geometry geo, const LbmConfig& cfg, LbmStorage storage)
+      : geo_(std::move(geo)), cfg_(cfg), storage_(storage), lid_(cfg) {
     cfg_.validate();
-    const int nx = initial_density.nx(), ny = initial_density.ny(),
-              nz = initial_density.nz();
-    if (geo_.nx() != nx || geo_.ny() != ny || geo_.nz() != nz)
-      throw std::invalid_argument(
-          "LbmState: geometry shape must match the initial grid");
-    initialize(initial_density);
   }
 
   /// Rewinds the state to level 0 for a new initial density — and, when
-  /// `new_geometry` is non-null, a new geometry of the same shape —
-  /// reusing every allocation (the lattices, masks and density cache are
-  /// refilled in place).  Bit-identical to constructing a fresh state on
-  /// the same inputs; the mechanism behind StencilSolver::reset for the
-  /// lbm operator.  Throws on shape mismatches and, for AA storage, on a
-  /// geometry whose outer layer is not fully solid.
+  /// `new_geometry` is non-null, a new geometry of the same shape — and
+  /// is also the first fill after construction.  Allocations are reused:
+  /// the lattices and density cache are refilled in place, and the
+  /// geometry masks and fluid count are kept as they are unless a new
+  /// geometry arrives (they are then rebuilt in place).  The fill runs
+  /// over k-slabs of `pool` (null: the calling thread), so the first fill
+  /// is also the lattices' first touch by the threads that sweep them.
+  /// Bit-identical to constructing a fresh state on the same inputs, for
+  /// any pool; the mechanism behind StencilSolver::reset for the lbm
+  /// operator.  Throws, before changing anything, on shape mismatches
+  /// and, for AA storage, on a geometry whose outer layer is not fully
+  /// solid.
   void reset(const core::Grid3& initial_density,
-             const Geometry* new_geometry) {
+             const Geometry* new_geometry, util::ThreadPool* pool = nullptr) {
     const int nx = geo_.nx(), ny = geo_.ny(), nz = geo_.nz();
     if (initial_density.nx() != nx || initial_density.ny() != ny ||
         initial_density.nz() != nz)
       throw std::invalid_argument(
           "LbmState::reset: initial-density shape must match the "
           "constructed shape");
-    if (new_geometry != nullptr) {
-      if (new_geometry->nx() != nx || new_geometry->ny() != ny ||
-          new_geometry->nz() != nz)
-        throw std::invalid_argument(
-            "LbmState::reset: geometry shape must match the constructed "
-            "shape");
-      geo_ = *new_geometry;
-    }
-    fluid_interior_ = 0;
-    initialize(initial_density);
+    if (new_geometry != nullptr &&
+        (new_geometry->nx() != nx || new_geometry->ny() != ny ||
+         new_geometry->nz() != nz))
+      throw std::invalid_argument(
+          "LbmState::reset: geometry shape must match the constructed "
+          "shape");
+    const bool rebuild = new_geometry != nullptr || masks_.empty();
+    if (rebuild && storage_ == LbmStorage::kAA)
+      require_solid_hull(new_geometry != nullptr ? *new_geometry : geo_);
+    if (new_geometry != nullptr) geo_ = *new_geometry;
+    if (rebuild) build_masks(pool);
+    fill_lattices(initial_density, pool);
   }
 
   [[nodiscard]] const Geometry& geometry() const { return geo_; }
@@ -290,78 +300,120 @@ class LbmState {
                              ": this state uses two-lattice storage");
   }
 
-  /// Builds the geometry masks and fills the distributions with the
-  /// level-0 equilibrium of `initial_density`.  Shared by construction
-  /// and reset(): lattices are allocated only when not yet engaged, so a
-  /// reset refills the existing buffers in place.
-  void initialize(const core::Grid3& initial_density) {
-    const int nx = geo_.nx(), ny = geo_.ny(), nz = geo_.nz();
-
-    // Geometry masks (interior cells; the outermost layer is never
-    // updated, its entries only mark it solid for the row kernels) and
-    // the fluid-cell count the throughput accounting reports.
-    masks_.assign(static_cast<std::size_t>(nx) * ny * nz, kMaskSolid);
-    for (int k = 1; k < nz - 1; ++k)
-      for (int j = 1; j < ny - 1; ++j)
-        for (int i = 1; i < nx - 1; ++i) {
-          const std::uint64_t m = cell_mask(geo_, i, j, k);
-          masks_[(static_cast<std::size_t>(k) * ny + j) * nx + i] = m;
-          if (!(m & kMaskSolid)) ++fluid_interior_;
-        }
-
-    if (storage_ == LbmStorage::kTwoLattice) {
-      if (!even_) even_.emplace(nx, ny, nz);
-      if (!odd_) odd_.emplace(nx, ny, nz);
-      for (int k = 0; k < nz; ++k)
-        for (int j = 0; j < ny; ++j)
-          for (int i = 0; i < nx; ++i) {
-            const double rho0 = initial_density.at(i, j, k);
-            const double rho = rho0 > 0.0 ? rho0 : cfg_.rho0;
-            for (int q = 0; q < kQ; ++q) {
-              const double feq = equilibrium(q, rho, 0.0, 0.0, 0.0);
-              even_->f(q).at(i, j, k) = feq;
-              odd_->f(q).at(i, j, k) = feq;
-            }
-          }
-      return;
-    }
-
-    // AA storage.  The alternating in-place arrangement requires every
-    // boundary cell to be solid (a fluid hull cell would be frozen at
-    // level 0 while the interior alternates).
+  /// The AA alternation requires every boundary cell to be solid: a
+  /// fluid hull cell would be frozen at level 0 while the interior
+  /// alternates between arrangements.
+  static void require_solid_hull(const Geometry& g) {
+    const int nx = g.nx(), ny = g.ny(), nz = g.nz();
     for (int k = 0; k < nz; ++k)
-      for (int j = 0; j < ny; ++j)
-        for (int i = 0; i < nx; ++i)
-          if ((i == 0 || j == 0 || k == 0 || i == nx - 1 || j == ny - 1 ||
-               k == nz - 1) &&
-              geo_.at(i, j, k) == Cell::kFluid)
+      for (int j = 0; j < ny; ++j) {
+        // Whole rows on the y and z faces, the two x-face cells otherwise.
+        const bool face_row = k == 0 || k == nz - 1 || j == 0 || j == ny - 1;
+        const int step = face_row || nx < 2 ? 1 : nx - 1;
+        for (int i = 0; i < nx; i += step)
+          if (g.at(i, j, k) == Cell::kFluid)
             throw std::invalid_argument(
                 "LbmState: the AA storage policy requires a fully solid "
                 "outer layer (fluid boundary cells break the in-place "
                 "alternation)");
-    if (!rho_init_) rho_init_.emplace(nx, ny, nz);
-    for (int k = 0; k < nz; ++k)
-      for (int j = 0; j < ny; ++j)
-        for (int i = 0; i < nx; ++i) {
-          const double rho0 = initial_density.at(i, j, k);
-          rho_init_->at(i, j, k) = rho0 > 0.0 ? rho0 : cfg_.rho0;
+      }
+  }
+
+  /// Geometry masks (interior cells; the outermost layer is never
+  /// updated, its entries only mark it solid for the row kernels) and
+  /// the fluid-cell count the throughput accounting reports, rebuilt in
+  /// place over k-slabs.
+  void build_masks(util::ThreadPool* pool) {
+    const int nx = geo_.nx(), ny = geo_.ny(), nz = geo_.nz();
+    masks_.resize(static_cast<std::size_t>(nx) * ny * nz);
+    std::vector<long long> fluid(
+        static_cast<std::size_t>(util::slab_count(pool)), 0);
+    util::for_each_slab(pool, 0, nz, [&](int s, int lo, int hi) {
+      long long n = 0;
+      for (int k = lo; k < hi; ++k)
+        for (int j = 0; j < ny; ++j) {
+          std::uint64_t* row =
+              masks_.data() + (static_cast<std::size_t>(k) * ny + j) * nx;
+          const bool hull_row = k == 0 || k == nz - 1 || j == 0 || j == ny - 1;
+          for (int i = 0; i < nx; ++i) {
+            const std::uint64_t m = hull_row || i == 0 || i == nx - 1
+                                        ? kMaskSolid
+                                        : cell_mask(geo_, i, j, k);
+            row[i] = m;
+            if (!(m & kMaskSolid)) ++n;
+          }
         }
+      fluid[static_cast<std::size_t>(s)] = n;
+    });
+    fluid_interior_ = 0;
+    for (long long n : fluid) fluid_interior_ += n;
+  }
+
+  /// Fills the distributions with the level-0 equilibrium of
+  /// `initial_density`, row by row over k-slabs.  Lattices are allocated
+  /// only when not yet engaged, so a reset refills the existing buffers.
+  void fill_lattices(const core::Grid3& initial_density,
+                     util::ThreadPool* pool) {
+    const int nx = geo_.nx(), ny = geo_.ny(), nz = geo_.nz();
+    const auto density = [&](double rho0) {
+      return rho0 > 0.0 ? rho0 : cfg_.rho0;
+    };
+
+    if (storage_ == LbmStorage::kTwoLattice) {
+      if (!even_) even_.emplace(nx, ny, nz);
+      if (!odd_) odd_.emplace(nx, ny, nz);
+      util::for_each_slab(pool, 0, nz, [&](int, int lo, int hi) {
+        for (int k = lo; k < hi; ++k)
+          for (int j = 0; j < ny; ++j) {
+            const double* rho = initial_density.row(j, k);
+            for (int q = 0; q < kQ; ++q) {
+              double* even = even_->f(q).row(j, k);
+              double* odd = odd_->f(q).row(j, k);
+              for (int i = 0; i < nx; ++i) {
+                const double feq =
+                    equilibrium(q, density(rho[i]), 0.0, 0.0, 0.0);
+                even[i] = feq;
+                odd[i] = feq;
+              }
+            }
+          }
+      });
+      return;
+    }
+
+    if (!rho_init_) rho_init_.emplace(nx, ny, nz);
+    util::for_each_slab(pool, 0, nz, [&](int, int lo, int hi) {
+      for (int k = lo; k < hi; ++k)
+        for (int j = 0; j < ny; ++j) {
+          const double* src = initial_density.row(j, k);
+          double* dst = rho_init_->row(j, k);
+          for (int i = 0; i < nx; ++i) dst[i] = density(src[i]);
+        }
+    });
     // Level 0 is even, so the lattice must hold the STREAMED
     // arrangement of the level-0 equilibrium: A_q(y) = f_q(y - e_q).
     // Slots whose source lies outside the box are never read; park them
-    // at the reference-density equilibrium.
+    // at the reference-density equilibrium.  A second dispatch: the
+    // sources sit at k -/+ 1, across slab boundaries, so rho_init_ must
+    // be complete first.
     if (!aa_) aa_.emplace(nx, ny, nz);
-    for (int k = 0; k < nz; ++k)
-      for (int j = 0; j < ny; ++j)
-        for (int i = 0; i < nx; ++i)
+    util::for_each_slab(pool, 0, nz, [&](int, int lo, int hi) {
+      for (int k = lo; k < hi; ++k)
+        for (int j = 0; j < ny; ++j)
           for (int q = 0; q < kQ; ++q) {
             const auto& e = kVelocities[static_cast<std::size_t>(q)];
-            const int si = i - e[0], sj = j - e[1], sk = k - e[2];
-            const bool in = si >= 0 && si < nx && sj >= 0 && sj < ny &&
-                            sk >= 0 && sk < nz;
-            const double rho = in ? rho_init_->at(si, sj, sk) : cfg_.rho0;
-            aa_->f(q).at(i, j, k) = equilibrium(q, rho, 0.0, 0.0, 0.0);
+            const int sj = j - e[1], sk = k - e[2];
+            const bool row_in = sj >= 0 && sj < ny && sk >= 0 && sk < nz;
+            const double* src = row_in ? rho_init_->row(sj, sk) : nullptr;
+            double* out = aa_->f(q).row(j, k);
+            for (int i = 0; i < nx; ++i) {
+              const int si = i - e[0];
+              const double rho =
+                  row_in && si >= 0 && si < nx ? src[si] : cfg_.rho0;
+              out[i] = equilibrium(q, rho, 0.0, 0.0, 0.0);
+            }
           }
+    });
   }
 
   Geometry geo_;

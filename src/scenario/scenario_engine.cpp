@@ -34,6 +34,9 @@ core::SolverConfig config_for(const CaseSpec& spec) {
   return cfg;
 }
 
+// Must stay a serial sum in k/j/i order: perfbench's engine_mean
+// (perfbench/driver/check.hpp) mirrors it bit for bit to check
+// CaseResult::mean, so a parallel or reordered sum breaks that check.
 double solution_mean(const core::Grid3& g) {
   double sum = 0.0;
   for (int k = 0; k < g.nz(); ++k)

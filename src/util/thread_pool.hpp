@@ -87,4 +87,27 @@ class ThreadPool {
   bool stop_ = false;
 };
 
+/// Number of slabs for_each_slab cuts a range into on `pool`.
+[[nodiscard]] inline int slab_count(const ThreadPool* pool) {
+  return pool == nullptr || pool->size() <= 1 ? 1 : pool->size();
+}
+
+/// Splits the plane range [k0, k1) into slab_count(pool) contiguous slabs
+/// and runs `fn(slab, lo, hi)` once per slab, slab s on worker s: a fixed
+/// partition, so per-slab partials combine reproducibly and a fill pass
+/// homes the same pages on the same workers every time.  A null or
+/// one-worker pool runs fn(0, k0, k1) on the calling thread.  `fn` must
+/// not throw (see ThreadPool::run).
+template <class Fn>
+void for_each_slab(ThreadPool* pool, int k0, int k1, Fn&& fn) {
+  const int slabs = slab_count(pool);
+  if (slabs == 1) {
+    fn(0, k0, k1);
+    return;
+  }
+  pool->run([&](int s) {
+    fn(s, k0 + (k1 - k0) * s / slabs, k0 + (k1 - k0) * (s + 1) / slabs);
+  });
+}
+
 }  // namespace tb::util

@@ -1,7 +1,9 @@
 // Unit tests for Grid3 and the row kernels.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <cstring>
 
 #include "core/grid.hpp"
 #include "core/kernels.hpp"
@@ -71,6 +73,26 @@ TEST(Grid3, TestPatternIsDeterministicAndNonTrivial) {
   EXPECT_NE(a.at(1, 2, 3), a.at(2, 2, 3));
   EXPECT_NE(a.at(1, 2, 3), a.at(1, 3, 3));
   EXPECT_NE(a.at(1, 2, 3), a.at(1, 2, 4));
+}
+
+TEST(Grid3, TestPatternMatchesThePerCellFormulaBitwise) {
+  // The fill hoists the x and y waves out of the cell loop; every cell
+  // must still carry the bits of the original per-cell expression.
+  const double scale = 0.75;
+  Grid3 g(13, 7, 5);
+  fill_test_pattern(g, scale);
+  for (int k = 0; k < g.nz(); ++k)
+    for (int j = 0; j < g.ny(); ++j)
+      for (int i = 0; i < g.nx(); ++i) {
+        const double w = std::sin(0.31 * i) * std::cos(0.17 * j) +
+                         std::sin(0.07 * k * i) * 0.25 +
+                         0.01 * ((i * 131 + j * 17 + k * 739) % 97);
+        const double expected = scale * w;
+        std::uint64_t got_bits = 0, want_bits = 0;
+        std::memcpy(&got_bits, &g.at(i, j, k), sizeof(got_bits));
+        std::memcpy(&want_bits, &expected, sizeof(want_bits));
+        ASSERT_EQ(got_bits, want_bits) << i << "," << j << "," << k;
+      }
 }
 
 // ---- row kernels ----------------------------------------------------

@@ -17,6 +17,7 @@
 #include "core/registry.hpp"
 #include "core/session.hpp"
 #include "core/solver.hpp"
+#include "lbm/stencil_op.hpp"
 #include "support/grid_test_utils.hpp"
 #include "util/aligned_buffer.hpp"
 
@@ -111,23 +112,32 @@ TEST(SolverSession, FullMatrixTwiceBitIdenticalZeroRealloc) {
   EXPECT_EQ(session.pool_size(), kVariants.size() * kOperators.size());
 }
 
+/// Geometry codes of a closed box whose top z face is the lid, plus
+/// an optional solid pillar through the middle column.
+Grid3 box_codes(int nx, int ny, int nz, bool pillar) {
+  Grid3 codes(nx, ny, nz);
+  codes.fill(0.0);
+  for (int k = 0; k < nz; ++k)
+    for (int j = 0; j < ny; ++j)
+      for (int i = 0; i < nx; ++i) {
+        if (i == 0 || j == 0 || k == 0 || i == nx - 1 || j == ny - 1 ||
+            k == nz - 1)
+          codes.at(i, j, k) = k == nz - 1 ? 2.0 : 1.0;
+        else if (pillar && i == nx / 2 && j == ny / 2)
+          codes.at(i, j, k) = 1.0;
+      }
+  return codes;
+}
+
 TEST(SolverSession, LbmGeometryCodesResetRebuildsGeometry) {
   const int n = 10, steps = 4;
   Grid3 density(n, n, n);
   density.fill(1.0);
 
-  // Cavity codes: closed box, top z face is the lid.
-  Grid3 cavity(n, n, n);
-  cavity.fill(0.0);
-  for (int k = 0; k < n; ++k)
-    for (int j = 0; j < n; ++j)
-      for (int i = 0; i < n; ++i)
-        if (i == 0 || j == 0 || k == 0 || i == n - 1 || j == n - 1 ||
-            k == n - 1)
-          cavity.at(i, j, k) = k == n - 1 ? 2.0 : 1.0;
-  // Same box with a solid pillar: a genuinely different flow.
-  Grid3 pillar = cavity.clone();
-  for (int k = 1; k < n - 1; ++k) pillar.at(n / 2, n / 2, k) = 1.0;
+  // The cavity, and the same box with a solid pillar: a genuinely
+  // different flow.
+  const Grid3 cavity = box_codes(n, n, n, false);
+  const Grid3 pillar = box_codes(n, n, n, true);
 
   SolveRequest req;
   req.variant = "baseline";
@@ -153,6 +163,84 @@ TEST(SolverSession, LbmGeometryCodesResetRebuildsGeometry) {
   StencilSolver fresh(second.solver->config(), density, pillar);
   fresh.advance(steps);
   expect_grids_bitwise_equal(second.solver->solution(), fresh.solution());
+}
+
+/// Carrier, every lattice component of the current level and the update
+/// count (a stale fluid count shows there) of two solvers agree bitwise.
+void expect_lbm_solvers_equal(const StencilSolver& got,
+                              const RunStats& got_stats,
+                              const StencilSolver& want,
+                              const RunStats& want_stats) {
+  expect_grids_bitwise_equal(got.solution(), want.solution());
+  EXPECT_EQ(got_stats.cell_updates, want_stats.cell_updates);
+  const lbm::Lattice& a = got.lbm_state()->current(got.levels_done());
+  const lbm::Lattice& b = want.lbm_state()->current(want.levels_done());
+  for (int q = 0; q < lbm::kQ; ++q) expect_grids_bitwise_equal(a.f(q), b.f(q));
+}
+
+TEST(SolverSession, LbmResetMatchesFreshAcrossGeometriesAndThreads) {
+  // 3 threads over 10 planes: uneven fill slabs.  The density includes
+  // non-positive cells, which take the rho0 fallback.
+  const int nx = 13, ny = 11, nz = 10, steps = 5;
+  Grid3 density(nx, ny, nz);
+  fill_test_pattern(density, 0.05);
+  for (int k = 0; k < nz; ++k)
+    for (int j = 0; j < ny; ++j)
+      for (int i = 0; i < nx; ++i) density.at(i, j, k) += 1.0;
+  density.at(4, 5, 3) = 0.0;
+  density.at(6, 2, 7) = -0.5;
+  density.at(0, 3, 4) = -1.0;   // hull cell: feeds AA's streamed slots
+  density.at(12, 10, 9) = 0.0;  // corner
+  const Grid3 cavity = box_codes(nx, ny, nz, false);
+  const Grid3 pillar = box_codes(nx, ny, nz, true);
+
+  for (const std::string& op : {std::string("lbm"), std::string("lbm:aa")})
+    for (const std::string& variant :
+         {std::string("baseline"), std::string("pipelined")}) {
+      SCOPED_TRACE(variant + "/" + op);
+      SolveRequest req;
+      req.variant = variant;
+      req.op = op;
+      req.cfg.lbm_geometry_from_aux = true;
+      req.cfg.baseline.threads = 3;
+      req.cfg.pipeline.team_size = 3;
+      req.cfg.pipeline.block = {nx, 4, 4};
+      req.initial = &density;
+      req.steps = steps;
+
+      SolverSession session;
+      StencilSolver* pooled = nullptr;
+      const std::uint64_t* masks = nullptr;
+      // cavity -> pillar -> cavity through the pool, then a reset with no
+      // aux, which keeps the cavity geometry.
+      for (const Grid3* codes : {&cavity, &pillar, &cavity,
+                                 static_cast<const Grid3*>(nullptr)}) {
+        RunStats stats;
+        if (codes != nullptr) {
+          req.aux = codes;
+          const SolveResult r = session.solve(req);
+          ASSERT_NE(r.solver, nullptr);
+          EXPECT_EQ(r.reused, pooled != nullptr);
+          pooled = r.solver;
+          stats = r.stats;
+        } else {
+          pooled->reset(density);
+          stats = pooled->advance(steps);
+        }
+        // Masks are rebuilt or kept in place, never reallocated.
+        const std::uint64_t* row = pooled->lbm_state()->mask_row(1, 1);
+        if (masks != nullptr) {
+          EXPECT_EQ(row, masks);
+        }
+        masks = row;
+
+        const Grid3& geometry = codes != nullptr ? *codes : cavity;
+        StencilSolver fresh = make_solver(variant, op, pooled->config(),
+                                          density, &geometry);
+        const RunStats fresh_stats = fresh.advance(steps);
+        expect_lbm_solvers_equal(*pooled, stats, fresh, fresh_stats);
+      }
+    }
 }
 
 TEST(SolverSession, VarcoefResetRebuildsCoefficients) {

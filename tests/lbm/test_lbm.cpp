@@ -350,13 +350,21 @@ TEST(LbmAa, RequiresAFullySolidOuterLayer) {
   const int n = 8;
   core::Grid3 initial(n, n, n);
   initial.fill(1.0);
-  Geometry geo = Geometry::cavity(n, n, n);
-  geo.set(0, n / 2, n / 2, Cell::kFluid);  // puncture the hull
-  // The ping-pong tolerates the (frozen) fluid hull cell; AA cannot.
-  EXPECT_NO_THROW(
-      LbmState(geo, LbmConfig{}, initial, LbmStorage::kTwoLattice));
-  EXPECT_THROW(LbmState(geo, LbmConfig{}, initial, LbmStorage::kAA),
-               std::invalid_argument);
+  // Puncture each of the six faces in turn: the check scans the faces
+  // only, so every one of them must be covered.
+  const int m = n / 2, e = n - 1;
+  const int punctures[6][3] = {{0, m, m}, {e, m, m}, {m, 0, m},
+                               {m, e, m}, {m, m, 0}, {m, m, e}};
+  for (const auto& p : punctures) {
+    Geometry geo = Geometry::cavity(n, n, n);
+    geo.set(p[0], p[1], p[2], Cell::kFluid);
+    // The ping-pong tolerates the (frozen) fluid hull cell; AA cannot.
+    EXPECT_NO_THROW(
+        LbmState(geo, LbmConfig{}, initial, LbmStorage::kTwoLattice));
+    EXPECT_THROW(LbmState(geo, LbmConfig{}, initial, LbmStorage::kAA),
+                 std::invalid_argument)
+        << p[0] << "," << p[1] << "," << p[2];
+  }
   // The unpunctured cavity (wall hull + lid top) is fine.
   EXPECT_NO_THROW(LbmState(Geometry::cavity(n, n, n), LbmConfig{}, initial,
                            LbmStorage::kAA));
