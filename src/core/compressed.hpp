@@ -20,6 +20,7 @@
 // logical position while the solution data drifts through the allocation.
 #pragma once
 
+#include <cstring>
 #include <stdexcept>
 #include <vector>
 
@@ -30,6 +31,7 @@
 #include "core/stencil_op.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
+#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace tb::core {
@@ -38,9 +40,13 @@ namespace tb::core {
 ///
 /// Usage:
 ///   CompressedSolver<JacobiOp> solver(cfg, nx, ny, nz);
-///   solver.load(initial);       // level-0 data incl. boundary
+///   solver.load(initial, team);       // level-0 data incl. boundary
 ///   RunStats st = solver.run(sweeps);
-///   solver.store(result_out);   // final level
+///   solver.store(result_out, team);   // final level
+///
+/// `team` (optional; null copies on the calling thread) runs the row
+/// copies of load/store over k-slabs — the StencilSolver facade passes
+/// its own team, so a request pays no serial full-grid copy.
 template <class Op>
 class CompressedSolver {
  public:
@@ -64,16 +70,14 @@ class CompressedSolver {
   }
 
   /// Copies a level-0 state (shape nx*ny*nz) into the working array.
-  void load(const Grid3& initial) {
+  void load(const Grid3& initial, util::ThreadPool* team = nullptr) {
     if (initial.nx() != nx_ || initial.ny() != ny_ || initial.nz() != nz_)
       throw std::invalid_argument("CompressedSolver::load: shape mismatch");
     margin_ = shift_span_;
     levels_done_ = 0;
-    for (int k = 0; k < nz_; ++k)
-      for (int j = 0; j < ny_; ++j)
-        for (int i = 0; i < nx_; ++i)
-          store_.at(i + margin_, j + margin_, k + margin_) =
-              initial.at(i, j, k);
+    for_each_row(team, [&](int j, int k) {
+      std::memcpy(window_row(j, k), initial.row(j, k), row_bytes());
+    });
   }
 
   /// Runs `sweeps` team sweeps (alternating shift directions).
@@ -116,13 +120,12 @@ class CompressedSolver {
   }
 
   /// Copies the current level out into `out` (shape nx*ny*nz).
-  void store(Grid3& out) const {
+  void store(Grid3& out, util::ThreadPool* team = nullptr) const {
     if (out.nx() != nx_ || out.ny() != ny_ || out.nz() != nz_)
       throw std::invalid_argument("CompressedSolver::store: shape mismatch");
-    for (int k = 0; k < nz_; ++k)
-      for (int j = 0; j < ny_; ++j)
-        for (int i = 0; i < nx_; ++i)
-          out.at(i, j, k) = store_.at(i + margin_, j + margin_, k + margin_);
+    for_each_row(team, [&](int j, int k) {
+      std::memcpy(out.row(j, k), window_row(j, k), row_bytes());
+    });
   }
 
   /// Current data offset: cell (i,j,k) lives at array (i+m, j+m, k+m).
@@ -145,6 +148,27 @@ class CompressedSolver {
     c.lo = {0, 0, 0};
     c.hi = {nx, ny, nz};
     return std::vector<LevelClip>(static_cast<std::size_t>(levels), c);
+  }
+
+  /// Row (j, k) of the current data window.
+  [[nodiscard]] double* window_row(int j, int k) {
+    return store_.row(j + margin_, k + margin_) + margin_;
+  }
+  [[nodiscard]] const double* window_row(int j, int k) const {
+    return store_.row(j + margin_, k + margin_) + margin_;
+  }
+  [[nodiscard]] std::size_t row_bytes() const {
+    return static_cast<std::size_t>(nx_) * sizeof(double);
+  }
+
+  /// Runs fn(j, k) for every row of the nx*ny*nz domain, over k-slabs of
+  /// `team` (null: the calling thread).
+  template <class Fn>
+  void for_each_row(util::ThreadPool* team, Fn&& fn) const {
+    util::for_each_slab(team, 0, nz_, [&](int, int lo, int hi) {
+      for (int k = lo; k < hi; ++k)
+        for (int j = 0; j < ny_; ++j) fn(j, k);
+    });
   }
 
   void process_window(int level, int op_level, const Box& w, bool forward,

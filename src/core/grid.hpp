@@ -92,27 +92,46 @@ class Grid3 {
   util::AlignedBuffer<double> buf_;
 };
 
+namespace detail {
+
+/// sin(0.31 i) for i in [0, nx): the x wave of the test pattern.
+[[nodiscard]] inline std::vector<double> test_pattern_wave_x(int nx) {
+  std::vector<double> wave_x(static_cast<std::size_t>(nx));
+  for (int i = 0; i < nx; ++i)
+    wave_x[static_cast<std::size_t>(i)] = std::sin(0.31 * i);
+  return wave_x;
+}
+
+/// Row (j, k) of the test pattern; `wave_x` from test_pattern_wave_x.
+inline void test_pattern_row(const double* wave_x, int nx, int j, int k,
+                             double scale, double* row) {
+  const double wave_y = std::cos(0.17 * j);
+  for (int i = 0; i < nx; ++i) {
+    const double w = wave_x[i] * wave_y + std::sin(0.07 * k * i) * 0.25 +
+                     0.01 * ((i * 131 + j * 17 + k * 739) % 97);
+    row[i] = scale * w;
+  }
+}
+
+}  // namespace detail
+
 /// Deterministic pseudo-random initial condition: smooth product of waves
 /// plus a position hash, so that stencil bugs (off-by-one, transposed axes)
 /// show up as large mismatches instead of cancelling out.
 /// The x and y waves are hoisted out of the cell loop (same arguments,
 /// same expression order, so the same bits); only sin(0.07 k i) is
-/// per cell.
+/// per cell.  core::test_pattern_source yields the same rows.
 inline void fill_test_pattern(Grid3& g, double scale = 1.0) {
-  std::vector<double> wave_x(static_cast<std::size_t>(g.nx()));
-  for (int i = 0; i < g.nx(); ++i)
-    wave_x[static_cast<std::size_t>(i)] = std::sin(0.31 * i);
+  const std::vector<double> wave_x = detail::test_pattern_wave_x(g.nx());
   for (int k = 0; k < g.nz(); ++k)
-    for (int j = 0; j < g.ny(); ++j) {
-      const double wave_y = std::cos(0.17 * j);
-      double* row = g.row(j, k);
-      for (int i = 0; i < g.nx(); ++i) {
-        const double w = wave_x[static_cast<std::size_t>(i)] * wave_y +
-                         std::sin(0.07 * k * i) * 0.25 +
-                         0.01 * ((i * 131 + j * 17 + k * 739) % 97);
-        row[i] = scale * w;
-      }
-    }
+    for (int j = 0; j < g.ny(); ++j)
+      detail::test_pattern_row(wave_x.data(), g.nx(), j, k, scale,
+                               g.row(j, k));
+}
+
+/// Value on plane k of make_slab_kappa's field (nz planes).
+[[nodiscard]] inline double slab_kappa(int nz, int k) {
+  return k >= nz / 3 && k < 2 * nz / 3 ? 50.0 : 1.0;
 }
 
 /// The standard two-material field: background kappa 1 with a
@@ -121,10 +140,9 @@ inline void fill_test_pattern(Grid3& g, double scale = 1.0) {
 /// share, so a tuned plan is probed and validated on identical physics.
 [[nodiscard]] inline Grid3 make_slab_kappa(int nx, int ny, int nz) {
   Grid3 kappa(nx, ny, nz);
-  kappa.fill(1.0);
-  for (int k = nz / 3; k < 2 * nz / 3; ++k)
+  for (int k = 0; k < nz; ++k)
     for (int j = 0; j < ny; ++j)
-      for (int i = 0; i < nx; ++i) kappa.at(i, j, k) = 50.0;
+      std::fill_n(kappa.row(j, k), nx, slab_kappa(nz, k));
   return kappa;
 }
 

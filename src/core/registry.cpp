@@ -76,8 +76,8 @@ std::vector<std::string> Registry::selectable() const {
 }
 
 StencilSolver Registry::make(std::string_view variant, std::string_view op,
-                             SolverConfig cfg, const Grid3& initial,
-                             const Grid3* kappa) const {
+                             SolverConfig cfg, const GridSource& initial,
+                             const GridSource& kappa) const {
   // Copy the factory out under the lock and call it unlocked: meta
   // factories re-enter make() with the concrete name they resolved to.
   MetaVariantFactory factory;
@@ -99,13 +99,13 @@ StencilSolver Registry::make(std::string_view variant, std::string_view op,
       cfg.op == Operator::kVarCoef ||
       (cfg.op == Operator::kLbm && cfg.lbm_geometry_from_aux);
   if (needs_aux) {
-    if (kappa == nullptr)
+    if (!kappa)
       throw std::invalid_argument(
           cfg.op == Operator::kVarCoef
               ? "make_solver: operator 'varcoef' needs a kappa field"
               : "make_solver: operator 'lbm' with lbm_geometry_from_aux "
                 "needs the geometry-code grid");
-    return StencilSolver(cfg, initial, *kappa);
+    return StencilSolver(cfg, initial, kappa);
   }
   return StencilSolver(cfg, initial);
 }
@@ -205,8 +205,8 @@ void configure_from_args(SolverConfig& cfg, const util::Args& args) {
 }
 
 StencilSolver make_solver(std::string_view variant, std::string_view op,
-                          SolverConfig cfg, const Grid3& initial,
-                          const Grid3* kappa) {
+                          SolverConfig cfg, const GridSource& initial,
+                          const GridSource& kappa) {
   return Registry::global().make(variant, op, std::move(cfg), initial,
                                  kappa);
 }

@@ -47,11 +47,12 @@ namespace tb::core {
 
 /// Resolver behind a meta variant: receives the operator name, the
 /// caller's config (with cfg.meta already cleared, so calling back into
-/// make_solver with a concrete name cannot recurse), the initial grid
-/// and the optional kappa field, and returns a fully constructed solver.
+/// make_solver with a concrete name cannot recurse), the level-0 source
+/// and the kappa field (empty when there is none), and returns a fully
+/// constructed solver.
 using MetaVariantFactory = std::function<StencilSolver(
-    std::string_view op, SolverConfig cfg, const Grid3& initial,
-    const Grid3* kappa)>;
+    std::string_view op, SolverConfig cfg, const GridSource& initial,
+    const GridSource& kappa)>;
 
 /// Explicit, re-entrant variant/operator registry object.
 ///
@@ -102,8 +103,8 @@ class Registry {
   /// below for the full contract).
   [[nodiscard]] StencilSolver make(std::string_view variant,
                                    std::string_view op, SolverConfig cfg,
-                                   const Grid3& initial,
-                                   const Grid3* kappa = nullptr) const;
+                                   const GridSource& initial,
+                                   const GridSource& kappa = {}) const;
 
  private:
   mutable std::shared_mutex mu_;
@@ -139,18 +140,19 @@ bool apply_operator(SolverConfig& cfg, std::string_view name);
 /// flag value is not in the registry.
 void configure_from_args(SolverConfig& cfg, const util::Args& args);
 
-/// Constructs a solver from registry names.  `kappa` supplies the
-/// auxiliary per-cell field for operators that take one: the material
-/// field of "varcoef" (required), the geometry codes of "lbm" when
-/// cfg.lbm_geometry_from_aux is set (required then; with the default
-/// cavity geometry "lbm" ignores it, like "jacobi"/"box27"/"redblack"
-/// do).  Meta-variant names resolve through their registered factory.
+/// Constructs a solver from registry names.  `initial` is a grid or any
+/// GridSource.  `kappa` (a grid, a source, or nullptr / empty for none)
+/// supplies the auxiliary per-cell field for operators that take one:
+/// the material field of "varcoef" (required), the geometry codes of
+/// "lbm" when cfg.lbm_geometry_from_aux is set (required then; with the
+/// default cavity geometry "lbm" ignores it, like
+/// "jacobi"/"box27"/"redblack" do).  Meta-variant names resolve through their registered factory.
 /// Throws std::invalid_argument on unknown names or a missing kappa.
 [[nodiscard]] StencilSolver make_solver(std::string_view variant,
                                         std::string_view op,
                                         SolverConfig cfg,
-                                        const Grid3& initial,
-                                        const Grid3* kappa = nullptr);
+                                        const GridSource& initial,
+                                        const GridSource& kappa = {});
 
 /// Registers (or replaces) a meta variant under `name` in the global
 /// registry.  Names must not collide with concrete variant names.

@@ -27,7 +27,7 @@ SolverSession::SolverSession(SolverSession&&) noexcept = default;
 SolverSession& SolverSession::operator=(SolverSession&&) noexcept = default;
 
 std::string SolverSession::fingerprint(const SolveRequest& req) {
-  if (req.initial == nullptr)
+  if (!req.initial)
     throw std::invalid_argument(
         "SolverSession: SolveRequest.initial must not be null");
   const SolverConfig& c = req.cfg;
@@ -35,9 +35,9 @@ std::string SolverSession::fingerprint(const SolveRequest& req) {
   // Everything that decides allocation or results — and nothing that
   // doesn't (grid contents are replayed through reset, steps through
   // advance).
-  os << req.initial->nx() << 'x' << req.initial->ny() << 'x'
-     << req.initial->nz() << '|' << req.variant << '|' << req.op << '|'
-     << (req.aux != nullptr) << '|';
+  os << req.initial.nx() << 'x' << req.initial.ny() << 'x'
+     << req.initial.nz() << '|' << req.variant << '|' << req.op << '|'
+     << static_cast<bool>(req.aux) << '|';
   const PipelineConfig& p = c.pipeline;
   os << p.teams << ',' << p.team_size << ',' << p.steps_per_thread << ','
      << p.block.bx << ',' << p.block.by << ',' << p.block.bz << ',' << p.dl
@@ -66,10 +66,10 @@ SolveResult SolverSession::solve(const SolveRequest& req) {
     // where the zero-probe guarantee comes from — the solver already
     // carries its resolved plan, so no plan() call happens at all.
     StencilSolver& s = *it->second;
-    if (req.aux != nullptr)
-      s.reset(*req.initial, *req.aux);
+    if (req.aux)
+      s.reset(req.initial, req.aux);
     else
-      s.reset(*req.initial);
+      s.reset(req.initial);
     out.stats = s.advance(req.steps);
     out.solver = &s;
     out.reused = true;
@@ -83,7 +83,7 @@ SolveResult SolverSession::solve(const SolveRequest& req) {
   if (!impl_->opts.tune_cache_path.empty())
     cfg.tune_cache_path = impl_->opts.tune_cache_path;
   auto solver = std::make_unique<StencilSolver>(Registry::global().make(
-      req.variant, req.op, std::move(cfg), *req.initial, req.aux));
+      req.variant, req.op, std::move(cfg), req.initial, req.aux));
   out.stats = solver->advance(req.steps);
   ++impl_->created;
   reg.counter("session.solver.create").add(1);

@@ -44,14 +44,17 @@ struct SessionOptions {
 };
 
 /// One solve: which (variant, operator) to run on which data for how
-/// many steps.  The grids are borrowed for the duration of the call.
+/// many steps.  The data are grids (`req.initial = &grid`) or computed
+/// row sources, borrowed for the duration of the call; the solver writes
+/// them into its own grids on its own team.
 struct SolveRequest {
   std::string variant;          ///< concrete or meta name ("auto", ...)
   std::string op;               ///< operator name ("jacobi", "lbm:aa", ...)
   SolverConfig cfg;             ///< tunables; variant/op fields are
                                 ///< overwritten from the strings above
-  const Grid3* initial = nullptr;  ///< level-0 data (required)
-  const Grid3* aux = nullptr;   ///< kappa / geometry codes (operator-dependent)
+  GridSource initial;           ///< level-0 data (required)
+  GridSource aux;               ///< kappa / geometry codes (operator-
+                                ///< dependent; empty for none)
   int steps = 1;                ///< time levels to advance
 };
 
@@ -82,7 +85,7 @@ class SolverSession {
   /// Runs one case: pool hit -> reset + advance, miss -> construct
   /// (through Registry::global().make, so meta variants resolve) +
   /// advance.  Ticks obs counters session.solver.create / .reuse.
-  /// Throws std::invalid_argument on nullptr initial, unknown names, or
+  /// Throws std::invalid_argument on an empty initial, unknown names, or
   /// an operator that needs an aux grid without one.
   SolveResult solve(const SolveRequest& req);
 
@@ -97,8 +100,8 @@ class SolverSession {
 
   /// The pool key for a request: every config field that changes results
   /// or allocation (shape, variant, operator, schedule tunables, lbm
-  /// physics) — and nothing that doesn't (grid contents).  Exposed for
-  /// tests.
+  /// physics) — and nothing that doesn't (grid contents, or whether they
+  /// come from a grid or a computed source).  Exposed for tests.
   [[nodiscard]] static std::string fingerprint(const SolveRequest& req);
 
  private:

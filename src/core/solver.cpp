@@ -1,6 +1,7 @@
 #include "core/solver.hpp"
 
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -14,20 +15,29 @@ namespace tb::core {
 
 namespace {
 
-/// Level-0 carrier write: `initial` into both grids (the boundary values
-/// must exist in both parities), one row memcpy at a time over k-slabs of
-/// `team` (null: the calling thread).
-void copy_carriers(util::ThreadPool* team, const Grid3& initial, Grid3& a,
-                   Grid3& b) {
+/// Level-0 carrier write: each row of `initial` is written into `a`,
+/// then copied into `b` (the boundary values must exist in both
+/// parities), over k-slabs of `team` (null: the calling thread) — so a
+/// computed source is also evaluated on the team.
+void fill_carriers(util::ThreadPool* team, const GridSource& initial,
+                   Grid3& a, Grid3& b) {
   const std::size_t row_bytes =
-      static_cast<std::size_t>(initial.nx()) * sizeof(double);
-  util::for_each_slab(team, 0, initial.nz(), [&](int, int lo, int hi) {
+      static_cast<std::size_t>(a.nx()) * sizeof(double);
+  util::for_each_slab(team, 0, a.nz(), [&](int, int lo, int hi) {
     for (int k = lo; k < hi; ++k)
-      for (int j = 0; j < initial.ny(); ++j) {
-        std::memcpy(a.row(j, k), initial.row(j, k), row_bytes);
-        std::memcpy(b.row(j, k), initial.row(j, k), row_bytes);
+      for (int j = 0; j < a.ny(); ++j) {
+        initial.fill_row(j, k, a.row(j, k));
+        std::memcpy(b.row(j, k), a.row(j, k), row_bytes);
       }
   });
+}
+
+/// Calls `fn` with the source's data as a grid: the wrapped grid, or a
+/// materialized copy of a computed source.
+template <class Fn>
+decltype(auto) with_grid(const GridSource& src, Fn&& fn) {
+  if (const Grid3* g = src.grid()) return fn(*g);
+  return fn(src.materialize());
 }
 
 /// Per-operator construction state.  The generic case is stateless; the
@@ -44,12 +54,17 @@ struct OpState {
   /// Cells one level actually updates, or -1 for "every interior cell"
   /// (the geometry-oblivious operators).
   [[nodiscard]] long long updates_per_level() const { return -1; }
+  /// Reset hook, run before the carriers are written: validates (and
+  /// may decode) a new aux field, so a bad one throws with the solver
+  /// unchanged.
+  void stage(const SolverConfig& /*cfg*/, const GridSource* /*aux*/) {}
   /// Level-0 fill hook, run at construction (aux = nullptr: the state
   /// was built from its aux inputs) and by every StencilSolver::reset,
-  /// on the solver's thread team when it has one.  Stateless operators
-  /// have nothing to fill.
-  void reset(const SolverConfig& /*cfg*/, const Grid3& /*initial*/,
-             const Grid3* /*aux*/, util::ThreadPool* /*team*/) {}
+  /// once the carrier `level0` holds the level-0 data, on the solver's
+  /// thread team when it has one.  Stateless operators have nothing to
+  /// fill.
+  void reset(const SolverConfig& /*cfg*/, const Grid3& /*level0*/,
+             const GridSource* /*aux*/, util::ThreadPool* /*team*/) {}
 };
 
 template <>
@@ -59,11 +74,13 @@ struct OpState<VarCoefOp> {
   void set_level_base(int /*base*/) {}
   [[nodiscard]] const lbm::LbmState* lbm() const { return nullptr; }
   [[nodiscard]] long long updates_per_level() const { return -1; }
+  void stage(const SolverConfig& /*cfg*/, const GridSource* /*aux*/) {}
   /// New kappa -> face coefficients rebuilt in place; no kappa -> the
   /// existing material field stays (documented at StencilSolver::reset).
-  void reset(const SolverConfig& /*cfg*/, const Grid3& /*initial*/,
-             const Grid3* aux, util::ThreadPool* /*team*/) {
-    if (aux != nullptr) coeffs.rebuild(*aux);
+  void reset(const SolverConfig& /*cfg*/, const Grid3& /*level0*/,
+             const GridSource* aux, util::ThreadPool* /*team*/) {
+    if (aux != nullptr)
+      with_grid(*aux, [&](const Grid3& kappa) { coeffs.rebuild(kappa); });
   }
 };
 
@@ -74,8 +91,9 @@ struct OpState<RedBlackOp> {
   void set_level_base(int base) { origin.base = base; }
   [[nodiscard]] const lbm::LbmState* lbm() const { return nullptr; }
   [[nodiscard]] long long updates_per_level() const { return -1; }
-  void reset(const SolverConfig& /*cfg*/, const Grid3& /*initial*/,
-             const Grid3* /*aux*/, util::ThreadPool* /*team*/) {
+  void stage(const SolverConfig& /*cfg*/, const GridSource* /*aux*/) {}
+  void reset(const SolverConfig& /*cfg*/, const Grid3& /*level0*/,
+             const GridSource* /*aux*/, util::ThreadPool* /*team*/) {
     origin.base = 0;
   }
 };
@@ -83,6 +101,7 @@ struct OpState<RedBlackOp> {
 template <>
 struct OpState<lbm::LbmOp> {
   lbm::LbmState state;
+  std::optional<lbm::Geometry> staged{};  ///< decoded by stage(), for reset()
   [[nodiscard]] lbm::LbmOp make() { return lbm::LbmOp{&state}; }
   void set_level_base(int base) { state.origin.base = base; }
   [[nodiscard]] const lbm::LbmState* lbm() const { return &state; }
@@ -91,18 +110,23 @@ struct OpState<lbm::LbmOp> {
   [[nodiscard]] long long updates_per_level() const {
     return state.fluid_interior_cells();
   }
-  /// Distributions back to the equilibrium of the new initial density,
-  /// geometry rebuilt from the aux codes when the config sources it
-  /// there — all in the existing lattice allocations, on the team.
-  void reset(const SolverConfig& cfg, const Grid3& initial,
-             const Grid3* aux, util::ThreadPool* team) {
-    state.origin.base = 0;
+  /// New geometry codes, when the config sources the geometry there,
+  /// are decoded and checked against the storage policy here.
+  void stage(const SolverConfig& cfg, const GridSource* aux) {
+    staged.reset();
     if (cfg.lbm_geometry_from_aux && aux != nullptr) {
-      const lbm::Geometry geo = lbm::geometry_from_codes(*aux);
-      state.reset(initial, &geo, team);
-    } else {
-      state.reset(initial, nullptr, team);
+      staged = lbm::geometry_from_codes(*aux);
+      state.check_geometry(*staged);
     }
+  }
+  /// Distributions back to the equilibrium of the level-0 density,
+  /// geometry rebuilt from the staged codes — all in the existing
+  /// lattice allocations, on the team.
+  void reset(const SolverConfig& /*cfg*/, const Grid3& level0,
+             const GridSource* /*aux*/, util::ThreadPool* team) {
+    state.origin.base = 0;
+    state.reset(level0, staged ? &*staged : nullptr, team);
+    staged.reset();
   }
 };
 
@@ -137,7 +161,7 @@ struct StencilSolver::Impl {
   virtual RunStats advance(int steps, int base) = 0;
   /// Rewinds to level 0 with new initial data (and optionally a new aux
   /// field) without reallocating anything; see StencilSolver::reset.
-  virtual void reset(const Grid3& initial, const Grid3* aux) = 0;
+  virtual void reset(const GridSource& initial, const GridSource* aux) = 0;
   [[nodiscard]] virtual const Grid3& solution() const = 0;
   [[nodiscard]] virtual const lbm::LbmState* lbm_state() const = 0;
 };
@@ -147,7 +171,8 @@ struct StencilSolver::Impl {
 /// scheme classes and stay inlined.
 template <class Op>
 struct StencilSolver::OpImpl final : StencilSolver::Impl {
-  OpImpl(const SolverConfig& cfg, const Grid3& initial, OpState<Op> state)
+  OpImpl(const SolverConfig& cfg, const GridSource& initial,
+         OpState<Op> state)
       : cfg_(cfg),
         state_(std::move(state)),
         nx_(initial.nx()),
@@ -203,10 +228,10 @@ struct StencilSolver::OpImpl final : StencilSolver::Impl {
         break;
       }
     }
-    // The level-0 fill runs once the team exists, on the team: the
-    // operator state (lbm lattices and masks) and both carriers.
-    state_.reset(cfg_, initial, nullptr, team());
-    copy_carriers(team(), initial, a_, b_);
+    // The level-0 fill runs once the team exists, on the team: both
+    // carriers, then the operator state (lbm lattices and masks) from a_.
+    fill_carriers(team(), initial, a_, b_);
+    state_.reset(cfg_, a_, nullptr, team());
     // Static facts about the operator's working set (lbm geometry row
     // classification, prefetch path) go to the registry once.
     if (obs::enabled())
@@ -255,20 +280,20 @@ struct StencilSolver::OpImpl final : StencilSolver::Impl {
     return total;
   }
 
-  void reset(const Grid3& initial, const Grid3* aux) override {
-    if (initial.nx() != nx_ || initial.ny() != ny_ || initial.nz() != nz_)
+  void reset(const GridSource& initial, const GridSource* aux) override {
+    if (!initial.same_shape(nx_, ny_, nz_))
       throw std::invalid_argument(
           "StencilSolver::reset: the new initial grid must match the "
           "constructed shape");
-    if (aux != nullptr &&
-        (aux->nx() != nx_ || aux->ny() != ny_ || aux->nz() != nz_))
+    if (aux != nullptr && !aux->same_shape(nx_, ny_, nz_))
       throw std::invalid_argument(
           "StencilSolver::reset: the new aux grid must match the "
           "constructed shape");
+    state_.stage(cfg_, aux);
     // The same fill as construction.  The pages are already mapped, so
     // the placement established at construction is untouched.
-    state_.reset(cfg_, initial, aux, team());
-    copy_carriers(team(), initial, a_, b_);
+    fill_carriers(team(), initial, a_, b_);
+    state_.reset(cfg_, a_, aux, team());
   }
 
   /// The current level lives in a_ by invariant: every path below swaps
@@ -309,9 +334,9 @@ struct StencilSolver::OpImpl final : StencilSolver::Impl {
   RunStats advance_blocked_sweeps(int sweeps, int base) {
     state_.set_level_base(base);
     if (compressed_) {
-      compressed_->load(a_);
+      compressed_->load(a_, team());
       RunStats st = compressed_->run(sweeps);
-      compressed_->store(a_);
+      compressed_->store(a_, team());
       return st;
     }
     RunStats st = pipelined_->run(a_, b_, sweeps, 0);
@@ -336,7 +361,7 @@ namespace {
 /// lid-driven cavity of the grid's shape.  Unfilled — OpImpl fills it on
 /// its team.
 lbm::LbmState default_lbm_state(const SolverConfig& cfg,
-                                const Grid3& initial) {
+                                const GridSource& initial) {
   lbm::LbmState s(
       lbm::Geometry::cavity(initial.nx(), initial.ny(), initial.nz()),
       cfg.lbm, cfg.lbm_storage);
@@ -346,7 +371,8 @@ lbm::LbmState default_lbm_state(const SolverConfig& cfg,
 
 }  // namespace
 
-StencilSolver::StencilSolver(const SolverConfig& cfg, const Grid3& initial)
+StencilSolver::StencilSolver(const SolverConfig& cfg,
+                             const GridSource& initial)
     : cfg_(cfg) {
   if (cfg.telemetry) obs::set_enabled(true);
   switch (cfg.op) {
@@ -378,8 +404,9 @@ StencilSolver::StencilSolver(const SolverConfig& cfg, const Grid3& initial)
   throw std::invalid_argument("StencilSolver: unknown operator");
 }
 
-StencilSolver::StencilSolver(const SolverConfig& cfg, const Grid3& initial,
-                             const Grid3& kappa)
+StencilSolver::StencilSolver(const SolverConfig& cfg,
+                             const GridSource& initial,
+                             const GridSource& kappa)
     : cfg_(cfg) {
   if (cfg.telemetry) obs::set_enabled(true);
   if (cfg.op == Operator::kJacobi || cfg.op == Operator::kBox27 ||
@@ -390,8 +417,7 @@ StencilSolver::StencilSolver(const SolverConfig& cfg, const Grid3& initial,
     *this = StencilSolver(cfg, initial);
     return;
   }
-  if (kappa.nx() != initial.nx() || kappa.ny() != initial.ny() ||
-      kappa.nz() != initial.nz())
+  if (!kappa.same_shape(initial.nx(), initial.ny(), initial.nz()))
     throw std::invalid_argument(
         "StencilSolver: kappa shape must match the initial grid");
   if (cfg.op == Operator::kLbm) {
@@ -403,19 +429,23 @@ StencilSolver::StencilSolver(const SolverConfig& cfg, const Grid3& initial,
     return;
   }
   impl_ = std::make_unique<OpImpl<VarCoefOp>>(
-      cfg, initial, OpState<VarCoefOp>{DiffusionCoefficients(kappa)});
+      cfg, initial,
+      OpState<VarCoefOp>{with_grid(kappa, [](const Grid3& k) {
+        return DiffusionCoefficients(k);
+      })});
 }
 
 StencilSolver::~StencilSolver() = default;
 StencilSolver::StencilSolver(StencilSolver&&) noexcept = default;
 StencilSolver& StencilSolver::operator=(StencilSolver&&) noexcept = default;
 
-void StencilSolver::reset(const Grid3& initial) {
+void StencilSolver::reset(const GridSource& initial) {
   impl_->reset(initial, nullptr);
   levels_done_ = 0;
 }
 
-void StencilSolver::reset(const Grid3& initial, const Grid3& kappa) {
+void StencilSolver::reset(const GridSource& initial,
+                          const GridSource& kappa) {
   impl_->reset(initial, &kappa);
   levels_done_ = 0;
 }

@@ -22,6 +22,7 @@
 
 #include "core/baseline.hpp"
 #include "core/compressed.hpp"
+#include "core/grid_source.hpp"
 #include "core/pipeline.hpp"
 #include "lbm/kernel.hpp"  // LbmConfig (physics parameters of --operator lbm)
 
@@ -134,17 +135,19 @@ struct SolverConfig {
 class StencilSolver {
  public:
   /// `initial` supplies level-0 data including Dirichlet boundary faces
-  /// (for Operator::kLbm: the initial density field).  Not valid for
-  /// operators that need an auxiliary field (varcoef's material field,
-  /// lbm with lbm_geometry_from_aux set).
-  StencilSolver(const SolverConfig& cfg, const Grid3& initial);
+  /// (for Operator::kLbm: the initial density field) — a grid, or any
+  /// GridSource; the solver writes it row by row into its own grids on
+  /// its own thread team.  Not valid for operators that need an
+  /// auxiliary field (varcoef's material field, lbm with
+  /// lbm_geometry_from_aux set).
+  StencilSolver(const SolverConfig& cfg, const GridSource& initial);
 
   /// Construction with an auxiliary per-cell field `kappa` (same shape
   /// as `initial`): the material field for Operator::kVarCoef, the
   /// geometry codes for Operator::kLbm when cfg.lbm_geometry_from_aux is
   /// set.  Valid for any operator; the stateless ones ignore kappa.
-  StencilSolver(const SolverConfig& cfg, const Grid3& initial,
-                const Grid3& kappa);
+  StencilSolver(const SolverConfig& cfg, const GridSource& initial,
+                const GridSource& kappa);
 
   ~StencilSolver();
   StencilSolver(StencilSolver&&) noexcept;
@@ -167,13 +170,13 @@ class StencilSolver {
   /// NOT re-established (the pages are already mapped from the first
   /// construction) — a correctness no-op, and exactly the point: reuse
   /// keeps the NUMA homing the first solve paid for.
-  void reset(const Grid3& initial);
+  void reset(const GridSource& initial);
 
   /// reset() with a new auxiliary field (varcoef's kappa, lbm's geometry
   /// codes when cfg.lbm_geometry_from_aux is set): the face coefficients
   /// resp. geometry masks are rebuilt in place.  Operators that take no
   /// aux field ignore `kappa`, mirroring the two-argument constructor.
-  void reset(const Grid3& initial, const Grid3& kappa);
+  void reset(const GridSource& initial, const GridSource& kappa);
 
   /// Read-only view of the current solution.  No copy: the facade
   /// maintains the invariant that the current level always lives in its

@@ -71,6 +71,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/grid_source.hpp"
 #include "core/stencil_op.hpp"
 #include "lbm/kernel.hpp"
 #include "obs/registry.hpp"
@@ -81,14 +82,17 @@ namespace tb::lbm {
 /// Decodes a per-cell geometry field (the operator's analogue of the
 /// varcoef kappa side channel): 0 = fluid, 1 = no-slip wall, 2 = moving
 /// lid.  Any other value throws — geometry codes are exact small
-/// integers, never measured data.
+/// integers, never measured data.  Reads the codes a row at a time, so a
+/// computed source needs no grid.
 [[nodiscard]] inline Geometry geometry_from_codes(
-    const core::Grid3& codes) {
+    const core::GridSource& codes) {
   Geometry geo(codes.nx(), codes.ny(), codes.nz());
+  std::vector<double> row(static_cast<std::size_t>(codes.nx()));
   for (int k = 0; k < codes.nz(); ++k)
-    for (int j = 0; j < codes.ny(); ++j)
+    for (int j = 0; j < codes.ny(); ++j) {
+      codes.fill_row(j, k, row.data());
       for (int i = 0; i < codes.nx(); ++i) {
-        const double v = codes.at(i, j, k);
+        const double v = row[static_cast<std::size_t>(i)];
         if (v == 0.0)
           geo.set(i, j, k, Cell::kFluid);
         else if (v == 1.0)
@@ -100,6 +104,7 @@ namespace tb::lbm {
               "lbm::geometry_from_codes: cell values must be 0 (fluid), "
               "1 (wall) or 2 (lid)");
       }
+    }
   return geo;
 }
 
@@ -160,11 +165,18 @@ class LbmState {
           "LbmState::reset: geometry shape must match the constructed "
           "shape");
     const bool rebuild = new_geometry != nullptr || masks_.empty();
-    if (rebuild && storage_ == LbmStorage::kAA)
-      require_solid_hull(new_geometry != nullptr ? *new_geometry : geo_);
+    if (rebuild)
+      check_geometry(new_geometry != nullptr ? *new_geometry : geo_);
     if (new_geometry != nullptr) geo_ = *new_geometry;
     if (rebuild) build_masks(pool);
     fill_lattices(initial_density, pool);
+  }
+
+  /// Throws std::invalid_argument when `geo` cannot be this state's
+  /// geometry under its storage policy (AA needs a fully solid outer
+  /// layer) — reset() checks the same before changing anything.
+  void check_geometry(const Geometry& geo) const {
+    if (storage_ == LbmStorage::kAA) require_solid_hull(geo);
   }
 
   [[nodiscard]] const Geometry& geometry() const { return geo_; }

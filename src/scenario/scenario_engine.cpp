@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <exception>
-#include <optional>
 #include <utility>
 
 #include "core/registry.hpp"
@@ -13,6 +12,7 @@
 #include "perfmodel/model_api.hpp"
 #include "scenario/grids.hpp"
 #include "topo/machine.hpp"
+#include "util/timer.hpp"
 
 namespace tb::scenario {
 
@@ -56,16 +56,16 @@ CaseResult ScenarioEngine::run_case(const CaseSpec& spec) {
       obs::enabled()
           ? &obs::Registry::global().histogram("scenario.case.seconds")
           : nullptr);
+  const util::Timer wall;
 
-  const core::Grid3 initial = make_initial(spec);
-  const std::optional<core::Grid3> aux = make_aux(spec);
-
+  // Row sources, not grids: the pooled solver writes level 0 (and the
+  // aux field it decodes) itself, on its own team.
   core::SolveRequest req;
   req.variant = spec.variant;
   req.op = spec.op;
   req.cfg = config_for(spec);
-  req.initial = &initial;
-  req.aux = aux ? &*aux : nullptr;
+  req.initial = level0(spec);
+  req.aux = aux_source(spec);
   req.steps = spec.steps;
 
   const core::SolveResult solved = session_.solve(req);
@@ -99,10 +99,11 @@ CaseResult ScenarioEngine::run_case(const CaseSpec& spec) {
     obs::append_run_rows(obs::default_rundb_path(), {row});
   }
 
+  out.wall_seconds = wall.elapsed();
   if (opts_.print_cases)
-    std::printf("  %-44s %7.3f s %8.1f MLUP/s%s\n", spec.name.c_str(),
-                out.stats.seconds, out.stats.mlups(),
-                out.reused ? "  (pool hit)" : "");
+    std::printf("  %-44s %7.3f s wall %7.3f s advance %8.1f MLUP/s%s\n",
+                spec.name.c_str(), out.wall_seconds, out.stats.seconds,
+                out.stats.mlups(), out.reused ? "  (pool hit)" : "");
   return out;
 }
 
@@ -133,13 +134,16 @@ int run_scenario_file(const std::string& path,
                 config.cases().size());
     const std::vector<CaseResult> results = engine.run(config);
 
-    double total = 0.0;
-    for (const CaseResult& r : results) total += r.stats.seconds;
+    double wall = 0.0, advance = 0.0;
+    for (const CaseResult& r : results) {
+      wall += r.wall_seconds;
+      advance += r.stats.seconds;
+    }
     const core::SolverSession& session = engine.session();
     std::printf(
-        "scenario %s done: %zu cases in %.3f s, %llu solvers built, "
-        "%llu pool hits\n",
-        config.name().c_str(), results.size(), total,
+        "scenario %s done: %zu cases in %.3f s wall (%.3f s advance), "
+        "%llu solvers built, %llu pool hits\n",
+        config.name().c_str(), results.size(), wall, advance,
         static_cast<unsigned long long>(session.solvers_created()),
         static_cast<unsigned long long>(session.solvers_reused()));
     return 0;

@@ -22,7 +22,9 @@ namespace tb::scenario {
 /// Outcome of one case.
 struct CaseResult {
   CaseSpec spec;
-  core::RunStats stats{};
+  core::RunStats stats{};    ///< timing of the advance() call alone
+  double wall_seconds = 0.0;  ///< the whole run_case: level-0 fill, solve,
+                              ///< mean and telemetry
   bool reused = false;       ///< solver came from the session pool
   std::string resolved_variant;  ///< concrete variant after meta resolution
   double mean = 0.0;         ///< mean of the final solution (sanity value)

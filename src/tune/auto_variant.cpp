@@ -1,6 +1,7 @@
 // The "auto" registry meta variant: make_solver("auto", op, cfg, grid)
 // tunes the problem through tune::plan() — cache hit or model-pruned
-// probes — and constructs the winning concrete variant.
+// probes — and constructs the winning concrete variant.  Only the shape
+// of the level-0 source is read here; its data goes to the winner.
 //
 // Registration happens in a static initializer so that linking tb_tune
 // is all an executable needs for `--variant auto` to work; tb_tune is an
@@ -18,8 +19,8 @@ namespace {
 
 core::StencilSolver make_auto_solver(std::string_view op,
                                      core::SolverConfig cfg,
-                                     const core::Grid3& initial,
-                                     const core::Grid3* kappa) {
+                                     const core::GridSource& initial,
+                                     const core::GridSource& kappa) {
   Problem p;
   p.nx = initial.nx();
   p.ny = initial.ny();

@@ -12,10 +12,12 @@
 #include <gtest/gtest.h>
 
 #include <ostream>
+#include <utility>
 
 #include "support/grid_test_utils.hpp"
 #include "core/reference.hpp"
 #include "core/solver.hpp"
+#include "util/thread_pool.hpp"
 
 namespace tb::core {
 namespace {
@@ -222,6 +224,46 @@ TEST(EquivalenceProps, BoundariesNeverChange) {
       EXPECT_EQ(u.at(i, 0, k), initial.at(i, 0, k));
       EXPECT_EQ(u.at(i, 11, k), initial.at(i, 11, k));
     }
+}
+
+// ---- compressed load/store on a thread team ----------------------------
+
+// load and store copy rows over k-slabs of the facade's team; the copies
+// must land at the same margins and the same bits as the serial path.
+// nz = 10 on a team of 3 gives uneven slabs.
+TEST(CompressedLoadStore, TeamCopiesMatchSerialBitwise) {
+  PipelineConfig pc;
+  pc.teams = 1;
+  pc.team_size = 2;
+  pc.steps_per_thread = 2;  // S = 4
+  pc.scheme = GridScheme::kCompressed;
+  pc.block = {4, 4, 4};
+  const int nx = 13, ny = 11, nz = 10, S = pc.levels_per_sweep();
+  const Grid3 initial = tb::test::make_initial(nx, ny, nz);
+
+  // load, one sweep, store; then the same again from the stored level.
+  auto round_trips = [&](util::ThreadPool* team) {
+    CompressedJacobi solver(pc, nx, ny, nz);
+    auto sweep = [&](const Grid3& in, Grid3& out) {
+      solver.load(in, team);
+      EXPECT_EQ(solver.margin(), S);
+      solver.run(1);  // an odd sweep count drifts the window to 0
+      EXPECT_EQ(solver.margin(), 0);
+      solver.store(out, team);
+    };
+    Grid3 first(nx, ny, nz), second(nx, ny, nz);
+    sweep(initial, first);
+    sweep(first, second);
+    return std::pair{std::move(first), std::move(second)};
+  };
+
+  util::ThreadPool team(3);
+  const auto serial = round_trips(nullptr);
+  const auto teamed = round_trips(&team);
+  tb::test::expect_grids_bitwise_equal(teamed.first, serial.first);
+  tb::test::expect_grids_bitwise_equal(teamed.second, serial.second);
+  tb::test::expect_grids_bitwise_equal(serial.second,
+                                       reference_result(initial, 2 * S));
 }
 
 }  // namespace

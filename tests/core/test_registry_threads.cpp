@@ -34,7 +34,7 @@ TEST(RegistryThreads, ConcurrentRegistrationAndLookup) {
             "mt-meta-" + std::to_string(t) + "-" + std::to_string(i);
         reg.register_meta(
             name, [](std::string_view op, SolverConfig cfg,
-                     const Grid3& initial, const Grid3* kappa) {
+                     const GridSource& initial, const GridSource& kappa) {
               cfg.variant = Variant::kReference;
               return Registry::global().make("reference", op,
                                              std::move(cfg), initial,
@@ -61,8 +61,8 @@ TEST(RegistryThreads, MetaFactoryMayReenterMake) {
   Registry& reg = Registry::global();
   reg.register_meta(
       "reenter-reference",
-      [](std::string_view op, SolverConfig cfg, const Grid3& initial,
-         const Grid3* kappa) {
+      [](std::string_view op, SolverConfig cfg, const GridSource& initial,
+         const GridSource& kappa) {
         // Re-entering make() under the registration lock would
         // deadlock; the registry must invoke factories unlocked.
         return Registry::global().make("reference", op, std::move(cfg),
@@ -85,8 +85,8 @@ TEST(RegistryThreads, MetaFactoryMayReenterMake) {
 TEST(RegistryThreads, ConcreteNamesAreReserved) {
   EXPECT_THROW(Registry::global().register_meta(
                    "baseline",
-                   [](std::string_view, SolverConfig, const Grid3&,
-                      const Grid3*) -> StencilSolver {
+                   [](std::string_view, SolverConfig, const GridSource&,
+                      const GridSource&) -> StencilSolver {
                      throw std::logic_error("never called");
                    }),
                std::invalid_argument);

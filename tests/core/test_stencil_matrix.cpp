@@ -130,7 +130,7 @@ TEST(Registry, MetaVariantsAreSelectableButNotEnumerable) {
                 registered_meta_variants().size());
   register_meta_variant("always-baseline",
                         [](std::string_view op, SolverConfig cfg,
-                           const Grid3& initial, const Grid3* kappa) {
+                           const GridSource& initial, const GridSource& kappa) {
                           apply_variant(cfg, "baseline");
                           return make_solver("baseline", op, cfg, initial,
                                              kappa);
@@ -159,7 +159,7 @@ TEST(Registry, MetaVariantsAreSelectableButNotEnumerable) {
 TEST(Registry, MetaVariantNameSurvivesConfigureRoundTrip) {
   register_meta_variant("roundtrip-meta",
                         [](std::string_view op, SolverConfig cfg,
-                           const Grid3& initial, const Grid3* kappa) {
+                           const GridSource& initial, const GridSource& kappa) {
                           return make_solver("reference", op, cfg, initial,
                                              kappa);
                         });

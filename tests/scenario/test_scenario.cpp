@@ -6,15 +6,21 @@
 // sweep the CI smoke job runs.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/registry.hpp"
+#include "core/session.hpp"
+#include "lbm/stencil_op.hpp"
 #include "scenario/grids.hpp"
 #include "scenario/scenario_config.hpp"
 #include "scenario/scenario_engine.hpp"
 #include "support/grid_test_utils.hpp"
+#include "util/aligned_buffer.hpp"
 
 namespace tb::scenario {
 namespace {
@@ -209,6 +215,95 @@ TEST(ScenarioEngine, CasesBitIdenticalToFreshSolvers) {
 
   // The repeats hit the pool during the run itself.
   EXPECT_GT(engine.session().solvers_reused(), 0u);
+}
+
+CaseSpec small_case(const std::string& initial, int threads) {
+  CaseSpec spec;
+  spec.nx = 13;
+  spec.ny = 11;
+  spec.nz = 10;  // uneven k-slabs on a team of 3
+  spec.steps = 4;
+  spec.threads = threads;
+  spec.initial = initial;
+  return spec;
+}
+
+TEST(ScenarioEngine, PoolHitRunCaseAllocatesNothing) {
+  for (const char* initial : {"pattern", "uniform", "hot-face"})
+    for (const auto& [variant, op, geometry] :
+         {std::tuple{"baseline", "jacobi", "auto"},
+          std::tuple{"compressed", "jacobi", "auto"},
+          std::tuple{"pipelined", "lbm:aa", "cavity"}})
+      for (int threads : {1, 3}) {
+        CaseSpec spec = small_case(initial, threads);
+        spec.variant = variant;
+        spec.op = op;
+        spec.geometry = geometry;
+        spec.name = std::string(initial) + "/" + op + "/" + variant + "/t" +
+                    std::to_string(threads);
+
+        ScenarioEngine engine;
+        (void)engine.run_case(spec);
+        const std::uint64_t allocs = util::buffer_alloc_count();
+        const CaseResult hit = engine.run_case(spec);
+        EXPECT_TRUE(hit.reused) << spec.name;
+        EXPECT_EQ(util::buffer_alloc_count(), allocs) << spec.name;
+
+        ScenarioEngine fresh;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(fresh.run_case(spec).mean),
+                  std::bit_cast<std::uint64_t>(hit.mean))
+            << spec.name;
+      }
+}
+
+TEST(ScenarioGrids, Level0SourceAndMakeInitialAgreeBitwise) {
+  for (const char* initial : {"pattern", "uniform", "hot-face"}) {
+    const CaseSpec spec = small_case(initial, 3);
+    core::SolverConfig cfg;
+    cfg.baseline.threads = spec.threads;
+    core::StencilSolver solver =
+        core::make_solver("baseline", "jacobi", cfg, make_initial(spec));
+    const core::Grid3 from_grid = solver.solution().clone();
+    solver.reset(level0(spec));
+    tb::test::expect_grids_bitwise_equal(solver.solution(), from_grid);
+  }
+  // The pattern is fill_test_pattern's, bit for bit.
+  tb::test::expect_grids_bitwise_equal(
+      make_initial(small_case("pattern", 1)),
+      tb::test::make_initial(13, 11, 10));
+}
+
+TEST(ScenarioGrids, CavityCodesSpellTheBuiltInCavity) {
+  CaseSpec spec = small_case("uniform", 1);
+  spec.op = "lbm";
+  spec.geometry = "cavity";
+  const lbm::Geometry codes = lbm::geometry_from_codes(aux_source(spec));
+  const lbm::Geometry cavity = lbm::Geometry::cavity(13, 11, 10);
+  for (int k = 0; k < 10; ++k)
+    for (int j = 0; j < 11; ++j)
+      for (int i = 0; i < 13; ++i)
+        ASSERT_EQ(codes.at(i, j, k), cavity.at(i, j, k))
+            << i << "," << j << "," << k;
+}
+
+TEST(ScenarioGrids, FingerprintIgnoresWhereTheDataComeFrom) {
+  CaseSpec spec = small_case("pattern", 2);
+  spec.op = "lbm";
+  spec.geometry = "obstacle";
+  const core::Grid3 initial = make_initial(spec);
+  const std::optional<core::Grid3> aux = make_aux(spec);
+  ASSERT_TRUE(aux.has_value());
+
+  core::SolveRequest from_grids;
+  from_grids.variant = "pipelined";
+  from_grids.op = spec.op;
+  from_grids.initial = &initial;
+  from_grids.aux = &*aux;
+  core::SolveRequest from_sources = from_grids;
+  from_sources.initial = level0(spec);
+  from_sources.aux = aux_source(spec);
+  EXPECT_EQ(core::SolverSession::fingerprint(from_sources),
+            core::SolverSession::fingerprint(from_grids));
 }
 
 TEST(ScenarioEngine, ShippedSweepScenarioExpandsAndRuns) {
