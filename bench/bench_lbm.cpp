@@ -26,11 +26,8 @@ int main(int argc, char** argv) {
   const int n = static_cast<int>(args.get_int("n", 300));
   const std::array<int, 3> grid{n, n, n};
 
-  tb::sim::SimMachine socket;
-  socket.spec = tb::topo::nehalem_ep_socket();
-  socket.kernel = tb::sim::KernelTraits::d3q19();
-  tb::sim::SimMachine node = socket;
-  node.spec = tb::topo::nehalem_ep();
+  tb::sim::SimMachine socket = tb::sim::nehalem(1), node = tb::sim::nehalem(2);
+  socket.kernel = node.kernel = tb::sim::KernelTraits::d3q19();
 
   const double p0 = socket.spec.mem_bw_socket /
                     tb::lbm::bytes_per_update_nt() / 1e6;
@@ -46,10 +43,7 @@ int main(int argc, char** argv) {
   t.add("Standard LBM", std_s, std_n, 1.0);
 
   for (int T : {1, 2, 4}) {
-    tb::core::PipelineConfig pc;
-    pc.teams = 1;
-    pc.team_size = 4;
-    pc.steps_per_thread = T;
+    tb::core::PipelineConfig pc = tb::sim::paper_schedule(1, T);
     pc.block = {60, 10, 10};  // 19 fields: much smaller blocks fit cache
     pc.du = 2;
     const double s = tb::sim::simulate_pipeline(socket, pc, grid, 1).mlups;

@@ -162,11 +162,6 @@ class BaselineSolver {
     return (base_level + steps) % 2 == 0 ? a : b;
   }
 
-  /// Applies the configured page placement policy to a grid's storage.
-  void place_pages(Grid3& g) const {
-    topo::touch_pages(g.data(), g.size(), cfg_.placement, cfg_.threads);
-  }
-
   [[nodiscard]] const BaselineConfig& config() const { return cfg_; }
 
   /// The solver's thread team.  StencilSolver also runs its level-0
@@ -180,8 +175,5 @@ class BaselineSolver {
   int nx_, ny_, nz_;
   util::ThreadPool pool_;
 };
-
-/// The constant-coefficient instantiation (the paper's baseline).
-using BaselineJacobi = BaselineSolver<JacobiOp>;
 
 }  // namespace tb::core

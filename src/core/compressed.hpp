@@ -241,7 +241,4 @@ class CompressedSolver {
   PipelineEngine engine_;
 };
 
-/// The constant-coefficient instantiation (the paper's compressed grid).
-using CompressedJacobi = CompressedSolver<JacobiOp>;
-
 }  // namespace tb::core

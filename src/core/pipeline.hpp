@@ -123,7 +123,4 @@ class PipelinedSolver {
   PipelineEngine engine_;
 };
 
-/// The constant-coefficient instantiation (the paper's solver).
-using PipelinedJacobi = PipelinedSolver<JacobiOp>;
-
 }  // namespace tb::core

@@ -203,8 +203,4 @@ class StencilSolver {
   std::unique_ptr<Impl> impl_;
 };
 
-/// Historical name of the facade, kept for the examples and tests that
-/// predate the operator axis.
-using JacobiSolver = StencilSolver;
-
 }  // namespace tb::core

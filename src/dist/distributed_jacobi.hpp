@@ -79,7 +79,7 @@ struct CommVolume {
   std::uint64_t messages = 0;
 };
 
-/// Result of DistributedJacobi::advance on the calling rank.
+/// Result of DistributedStencil::advance on the calling rank.
 struct DistStats {
   double sim_seconds = 0.0;  ///< simulated clock at the end of the call
   CommVolume comm;           ///< volume sent during the call
@@ -337,9 +337,6 @@ class DistributedStencil {
   }
 
   [[nodiscard]] int halo() const { return halo_; }
-  [[nodiscard]] const std::array<int, 3>& owned_extent() const {
-    return own_;
-  }
 
  private:
   using StateTraits = core::StateFieldsTraits<Op>;
@@ -356,9 +353,6 @@ class DistributedStencil {
 
   [[nodiscard]] int to_global(int local, int d) const {
     return own_lo_[d] - halo_ + local;
-  }
-  [[nodiscard]] int to_local(int global, int d) const {
-    return global - own_lo_[d] + halo_;
   }
 
   /// Grid holding the current base time level.
@@ -614,9 +608,6 @@ class DistributedStencil {
   std::optional<typename StateTraits::Window> state_;
   std::optional<core::PipelinedSolver<Op>> solver_;
 };
-
-/// Historical name: the constant-coefficient instantiation.
-using DistributedJacobi = DistributedStencil<core::JacobiOp>;
 
 /// Convenience driver: runs the distributed solver on a fresh World and
 /// gathers the final state into `*out` (which must be pre-sized to the

@@ -101,6 +101,26 @@ struct SimMachine {
   std::uint64_t seed = 42;
 };
 
+/// The paper's testbed: one Nehalem EP socket (`sockets` = 1, the
+/// "Socket" bars of Fig. 3) or the two-socket node (`sockets` = 2).
+[[nodiscard]] inline SimMachine nehalem(int sockets) {
+  SimMachine m;
+  if (sockets == 1) m.spec = topo::nehalem_ep_socket();
+  return m;
+}
+
+/// The paper's Fig. 3 schedule: `teams` teams (one per socket) of four
+/// threads, T updates per thread, 120x20x20 blocks and the config
+/// defaults d_l = 1, d_u = 4, relaxed sync, two grids.
+[[nodiscard]] inline core::PipelineConfig paper_schedule(int teams, int T) {
+  core::PipelineConfig pc;
+  pc.teams = teams;
+  pc.team_size = 4;
+  pc.steps_per_thread = T;
+  pc.block = {120, 20, 20};
+  return pc;
+}
+
 /// Simulated run outcome.
 struct SimResult {
   double seconds = 0.0;

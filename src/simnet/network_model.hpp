@@ -13,7 +13,8 @@
 
 namespace tb::simnet {
 
-/// Latency/bandwidth cost model of one point-to-point link.
+/// Latency/bandwidth cost model of one point-to-point link.  The defaults
+/// are the paper's fat-tree QDR InfiniBand (Sec. 2.1).
 struct NetworkModel {
   double latency = 1.8e-6;    ///< seconds to first byte (QDR-IB default)
   double bandwidth = 3.2e9;   ///< asymptotic unidirectional bytes/s
@@ -41,20 +42,5 @@ struct NetworkModel {
     return latency * stages;
   }
 };
-
-/// The paper's cluster interconnect: fully non-blocking fat-tree QDR
-/// InfiniBand, 3.2 GB/s asymptotic unidirectional bandwidth, 1.8 us
-/// latency (Sec. 2.1).
-[[nodiscard]] inline NetworkModel qdr_infiniband() { return {}; }
-
-/// Intra-node "network": shared-memory copies between processes pinned to
-/// different sockets of one node.
-[[nodiscard]] inline NetworkModel shared_memory_link() {
-  NetworkModel m;
-  m.latency = 0.4e-6;
-  m.bandwidth = 6.0e9;
-  m.pack_overhead = 0.0;  // single copy, no NIC staging
-  return m;
-}
 
 }  // namespace tb::simnet

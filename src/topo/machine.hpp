@@ -134,4 +134,18 @@ struct MachineSpec {
   return m;
 }
 
+/// A projected many-core socket (Sec. 3 outlook): twice Nehalem's cores
+/// sharing one cache, with barely more memory bandwidth.
+[[nodiscard]] inline MachineSpec starved_manycore() {
+  MachineSpec m;
+  m.name = "future many-core (8c, starved)";
+  m.cores_per_socket = 8;
+  m.shared_cache_bytes = 16u << 20;
+  m.mem_bw_socket = 20.0e9;
+  m.mem_bw_single = 14.0e9;  // one core nearly saturates
+  m.cache_bw = 160.0e9;
+  m.clock_hz = 2.5e9;
+  return m;
+}
+
 }  // namespace tb::topo

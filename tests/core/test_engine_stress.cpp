@@ -99,7 +99,7 @@ TEST(EngineStress, ManySweepsOversubscribed) {
   SolverConfig sc;
   sc.variant = Variant::kPipelined;
   sc.pipeline = cfg;
-  JacobiSolver solver(sc, initial);
+  StencilSolver solver(sc, initial);
   const int steps = 8 * cfg.levels_per_sweep();
   solver.advance(steps);
   EXPECT_EQ(max_abs_diff(solver.solution(), reference_result(initial, steps)),

@@ -62,7 +62,7 @@ TEST_P(Equivalence, BitIdenticalToReference) {
   cfg.pipeline.scheme = c.scheme;
   cfg.pipeline.block = c.block;
 
-  JacobiSolver solver(cfg, initial);
+  StencilSolver solver(cfg, initial);
   const int steps = c.sweeps * cfg.pipeline.levels_per_sweep();
   solver.advance(steps);
   const Grid3 expected = reference_result(initial, steps);
@@ -108,7 +108,12 @@ INSTANTIATE_TEST_SUITE_P(
              .scheme = GridScheme::kCompressed},
         Case{.teams = 2, .t = 2, .T = 1, .dt = 2,
              .sync = SyncMode::kBarrier,
-             .scheme = GridScheme::kCompressed}));
+             .scheme = GridScheme::kCompressed},
+        // The same schedule on both schemes: compressed == two-grid.
+        Case{.teams = 1, .t = 2, .T = 2, .block = {8, 6, 6},
+             .grid = {24, 24, 24}},
+        Case{.teams = 1, .t = 2, .T = 2, .scheme = GridScheme::kCompressed,
+             .block = {8, 6, 6}, .grid = {24, 24, 24}}));
 
 // Block geometry: degenerate 1-cell blocks, slabs, pencils, oversized.
 INSTANTIATE_TEST_SUITE_P(
@@ -153,7 +158,7 @@ TEST(EquivalenceProps, ResultIndependentOfDu) {
     cfg.pipeline.team_size = 2;
     cfg.pipeline.du = du;
     cfg.pipeline.block = {5, 4, 3};
-    JacobiSolver s(cfg, initial);
+    StencilSolver s(cfg, initial);
     s.advance(2 * cfg.pipeline.levels_per_sweep());
     if (first) {
       anchor = s.solution().clone();
@@ -173,9 +178,9 @@ TEST(EquivalenceProps, BarrierAndRelaxedIdentical) {
   cfg.pipeline.team_size = 2;
   cfg.pipeline.block = {6, 4, 5};
 
-  JacobiSolver relaxed(cfg, initial);
+  StencilSolver relaxed(cfg, initial);
   cfg.pipeline.sync = SyncMode::kBarrier;
-  JacobiSolver barrier(cfg, initial);
+  StencilSolver barrier(cfg, initial);
   const int steps = 2 * cfg.pipeline.levels_per_sweep();
   relaxed.advance(steps);
   barrier.advance(steps);
@@ -192,7 +197,7 @@ TEST(EquivalenceProps, RepeatedRunsAreDeterministic) {
   cfg.pipeline.block = {4, 4, 4};
   Grid3 anchor(1, 1, 1);
   for (int run = 0; run < 3; ++run) {
-    JacobiSolver s(cfg, initial);
+    StencilSolver s(cfg, initial);
     s.advance(cfg.pipeline.levels_per_sweep());
     if (run == 0) {
       anchor = s.solution().clone();
@@ -211,7 +216,7 @@ TEST(EquivalenceProps, BoundariesNeverChange) {
   cfg.pipeline.team_size = 2;
   cfg.pipeline.scheme = GridScheme::kCompressed;
   cfg.pipeline.block = {4, 4, 4};
-  JacobiSolver s(cfg, initial);
+  StencilSolver s(cfg, initial);
   s.advance(4 * cfg.pipeline.levels_per_sweep());
   const Grid3& u = s.solution();
   for (int k = 0; k < 12; ++k)
@@ -243,7 +248,7 @@ TEST(CompressedLoadStore, TeamCopiesMatchSerialBitwise) {
 
   // load, one sweep, store; then the same again from the stored level.
   auto round_trips = [&](util::ThreadPool* team) {
-    CompressedJacobi solver(pc, nx, ny, nz);
+    CompressedSolver<JacobiOp> solver(pc, nx, ny, nz);
     auto sweep = [&](const Grid3& in, Grid3& out) {
       solver.load(in, team);
       EXPECT_EQ(solver.margin(), S);

@@ -65,7 +65,7 @@ TEST(Norms, JacobiResidualDecreasesUnderSweeps) {
   const Grid3 initial = make_initial(16);
   SolverConfig cfg;
   cfg.variant = Variant::kReference;
-  JacobiSolver solver(cfg, initial);
+  StencilSolver solver(cfg, initial);
   const double r0 = jacobi_residual(solver.solution());
   solver.advance(50);
   const double r50 = jacobi_residual(solver.solution());
@@ -121,17 +121,17 @@ TEST(GridIo, RestartContinuesBitIdentically) {
   cfg.pipeline.block = {4, 4, 4};
 
   // Uninterrupted run: 6 + 6 steps.
-  JacobiSolver full(cfg, initial);
+  StencilSolver full(cfg, initial);
   full.advance(12);
 
   // Interrupted run: checkpoint after 6, restart, 6 more.
-  JacobiSolver first(cfg, initial);
+  StencilSolver first(cfg, initial);
   first.advance(6);
   const std::string path = "/tmp/tb_ckpt_restart.bin";
   ASSERT_TRUE(save_checkpoint(first.solution(), path));
   const LoadResult r = load_checkpoint(path);
   ASSERT_TRUE(r.ok);
-  JacobiSolver second(cfg, r.grid);
+  StencilSolver second(cfg, r.grid);
   second.advance(6);
   std::filesystem::remove(path);
 

@@ -26,7 +26,7 @@ TEST(Smoke, PipelinedTwoGridMatchesReference) {
   sc.variant = Variant::kPipelined;
   sc.pipeline = pc;
 
-  JacobiSolver solver(sc, initial);
+  StencilSolver solver(sc, initial);
   const int steps = 2 * pc.levels_per_sweep();
   solver.advance(steps);
   Grid3 expected = reference_result(initial, steps);
@@ -48,7 +48,7 @@ TEST(Smoke, CompressedMatchesReference) {
   sc.variant = Variant::kPipelined;
   sc.pipeline = pc;
 
-  JacobiSolver solver(sc, initial);
+  StencilSolver solver(sc, initial);
   const int steps = 3 * pc.levels_per_sweep();  // odd sweeps: ends backward
   solver.advance(steps);
   Grid3 expected = reference_result(initial, steps);
@@ -62,7 +62,7 @@ TEST(Smoke, BaselineMatchesReference) {
   sc.variant = Variant::kBaseline;
   sc.baseline.threads = 3;
   sc.baseline.block = {7, 3, 5};
-  JacobiSolver solver(sc, initial);
+  StencilSolver solver(sc, initial);
   solver.advance(5);
   Grid3 expected = reference_result(initial, 5);
   EXPECT_EQ(max_abs_diff(solver.solution(), expected), 0.0);
@@ -80,7 +80,7 @@ TEST(Smoke, BarrierSyncMatchesReference) {
   SolverConfig sc;
   sc.variant = Variant::kPipelined;
   sc.pipeline = pc;
-  JacobiSolver solver(sc, initial);
+  StencilSolver solver(sc, initial);
   const int steps = pc.levels_per_sweep();
   solver.advance(steps);
   Grid3 expected = reference_result(initial, steps);

@@ -1,4 +1,4 @@
-// Tests for the baseline (standard) solver and the JacobiSolver facade.
+// Tests for the baseline (standard) solver and the StencilSolver facade.
 #include <gtest/gtest.h>
 
 #include "support/grid_test_utils.hpp"
@@ -31,7 +31,7 @@ TEST_P(BaselineSweep, MatchesReference) {
   cfg.baseline.block = c.block;
   cfg.baseline.nontemporal = c.nontemporal;
   cfg.baseline.placement = c.placement;
-  JacobiSolver solver(cfg, initial);
+  StencilSolver solver(cfg, initial);
   solver.advance(7);
   EXPECT_EQ(max_abs_diff(solver.solution(), reference_result(initial, 7)),
             0.0);
@@ -50,17 +50,17 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Baseline, RejectsBadConfig) {
   BaselineConfig cfg;
   cfg.threads = 0;
-  EXPECT_THROW(BaselineJacobi(cfg, 8, 8, 8), std::invalid_argument);
+  EXPECT_THROW(BaselineSolver<JacobiOp>(cfg, 8, 8, 8), std::invalid_argument);
   cfg.threads = 1;
   cfg.block.by = 0;
-  EXPECT_THROW(BaselineJacobi(cfg, 8, 8, 8), std::invalid_argument);
+  EXPECT_THROW(BaselineSolver<JacobiOp>(cfg, 8, 8, 8), std::invalid_argument);
 }
 
 TEST(Baseline, StatsCountUpdates) {
   const Grid3 initial = make_initial(10, 10, 10);
   BaselineConfig cfg;
   cfg.threads = 2;
-  BaselineJacobi solver(cfg, 10, 10, 10);
+  BaselineSolver<JacobiOp> solver(cfg, 10, 10, 10);
   Grid3 a = initial.clone(), b = initial.clone();
   const RunStats st = solver.run(a, b, 3);
   EXPECT_EQ(st.cell_updates, 3LL * 8 * 8 * 8);
@@ -87,10 +87,10 @@ TEST(Baseline, SingleThreadKeepsPaceWithReference) {
 
   double ref_mlups = 0.0, base_mlups = 0.0;
   for (int rep = 0; rep < 3; ++rep) {  // best-of-3 damps scheduler noise
-    JacobiSolver ref(ref_cfg, initial);
+    StencilSolver ref(ref_cfg, initial);
     ref.advance(2);  // warm-up: faults the grids in
     ref_mlups = std::max(ref_mlups, ref.advance(steps).mlups());
-    JacobiSolver base(base_cfg, initial);
+    StencilSolver base(base_cfg, initial);
     base.advance(2);
     base_mlups = std::max(base_mlups, base.advance(steps).mlups());
   }
@@ -103,7 +103,7 @@ TEST(Facade, ReferenceVariantMatchesOracle) {
   const Grid3 initial = make_initial(12, 12, 12);
   SolverConfig cfg;
   cfg.variant = Variant::kReference;
-  JacobiSolver solver(cfg, initial);
+  StencilSolver solver(cfg, initial);
   solver.advance(5);
   EXPECT_EQ(max_abs_diff(solver.solution(), reference_result(initial, 5)),
             0.0);
@@ -115,7 +115,7 @@ TEST(Facade, AdvanceZeroIsNoop) {
   cfg.variant = Variant::kPipelined;
   cfg.pipeline.team_size = 2;
   cfg.pipeline.block = {4, 4, 4};
-  JacobiSolver solver(cfg, initial);
+  StencilSolver solver(cfg, initial);
   const RunStats st = solver.advance(0);
   EXPECT_EQ(st.levels, 0);
   EXPECT_EQ(max_abs_diff(solver.solution(), initial), 0.0);
@@ -125,7 +125,7 @@ TEST(Facade, NegativeStepsThrow) {
   const Grid3 initial = make_initial(8, 8, 8);
   SolverConfig cfg;
   cfg.variant = Variant::kReference;
-  JacobiSolver solver(cfg, initial);
+  StencilSolver solver(cfg, initial);
   EXPECT_THROW(solver.advance(-1), std::invalid_argument);
 }
 
@@ -140,7 +140,7 @@ TEST(Facade, RemainderStepsFallBackToBaseline) {
   cfg.pipeline.steps_per_thread = 2;  // depth 4
   cfg.pipeline.block = {5, 4, 4};
   for (int steps : {1, 3, 5, 7, 9, 11}) {
-    JacobiSolver solver(cfg, initial);
+    StencilSolver solver(cfg, initial);
     solver.advance(steps);
     EXPECT_EQ(
         max_abs_diff(solver.solution(), reference_result(initial, steps)),
@@ -158,10 +158,10 @@ TEST(Facade, IncrementalAdvanceEqualsOneShot) {
   cfg.pipeline.block = {5, 4, 4};
   const int depth = cfg.pipeline.levels_per_sweep();
 
-  JacobiSolver once(cfg, initial);
+  StencilSolver once(cfg, initial);
   once.advance(3 * depth);
 
-  JacobiSolver stepwise(cfg, initial);
+  StencilSolver stepwise(cfg, initial);
   stepwise.advance(depth);
   stepwise.advance(depth);
   stepwise.advance(depth);
@@ -176,7 +176,7 @@ TEST(Facade, MixedChunksIncludingRemainders) {
   cfg.pipeline.teams = 1;
   cfg.pipeline.team_size = 3;  // depth 3
   cfg.pipeline.block = {4, 4, 4};
-  JacobiSolver solver(cfg, initial);
+  StencilSolver solver(cfg, initial);
   solver.advance(2);  // remainder only
   solver.advance(4);  // 1 sweep + 1 remainder
   solver.advance(6);  // 2 sweeps
@@ -192,7 +192,7 @@ TEST(Facade, CompressedVariantViaFacade) {
   cfg.pipeline.team_size = 2;
   cfg.pipeline.scheme = GridScheme::kCompressed;
   cfg.pipeline.block = {4, 4, 4};
-  JacobiSolver solver(cfg, initial);
+  StencilSolver solver(cfg, initial);
   solver.advance(3 * cfg.pipeline.levels_per_sweep() + 1);  // + remainder
   const int steps = 3 * cfg.pipeline.levels_per_sweep() + 1;
   EXPECT_EQ(
@@ -207,13 +207,13 @@ TEST(Facade, StatsAccumulateAcrossPhases) {
   cfg.pipeline.teams = 1;
   cfg.pipeline.team_size = 2;  // depth 2
   cfg.pipeline.block = {4, 4, 4};
-  JacobiSolver solver(cfg, initial);
+  StencilSolver solver(cfg, initial);
   const RunStats st = solver.advance(5);  // 2 sweeps + 1 remainder
   EXPECT_EQ(st.levels, 5);
   EXPECT_EQ(st.cell_updates, 5LL * 8 * 8 * 8);
 }
 
-// ---- CompressedJacobi direct API --------------------------------------
+// ---- CompressedSolver direct API --------------------------------------
 
 TEST(Compressed, MarginRoundTrip) {
   PipelineConfig pc;
@@ -222,7 +222,7 @@ TEST(Compressed, MarginRoundTrip) {
   pc.steps_per_thread = 2;  // S = 4
   pc.scheme = GridScheme::kCompressed;
   pc.block = {4, 4, 4};
-  CompressedJacobi solver(pc, 12, 12, 12);
+  CompressedSolver<JacobiOp> solver(pc, 12, 12, 12);
   Grid3 init = make_initial(12, 12, 12);
   solver.load(init);
   EXPECT_EQ(solver.margin(), 4);
@@ -241,7 +241,7 @@ TEST(Compressed, StorageIsAboutHalfOfTwoGrid) {
   pc.scheme = GridScheme::kCompressed;
   pc.block = {16, 16, 16};
   const int n = 64;
-  CompressedJacobi solver(pc, n, n, n);
+  CompressedSolver<JacobiOp> solver(pc, n, n, n);
   const double two_grid = 2.0 * Grid3(n, n, n).size() * sizeof(double);
   EXPECT_LT(static_cast<double>(solver.storage_bytes()), 0.75 * two_grid);
 }
@@ -251,7 +251,7 @@ TEST(Compressed, ShapeMismatchThrows) {
   pc.team_size = 2;
   pc.scheme = GridScheme::kCompressed;
   pc.block = {4, 4, 4};
-  CompressedJacobi solver(pc, 10, 10, 10);
+  CompressedSolver<JacobiOp> solver(pc, 10, 10, 10);
   Grid3 wrong(9, 10, 10);
   EXPECT_THROW(solver.load(wrong), std::invalid_argument);
   Grid3 out(11, 10, 10);
@@ -260,9 +260,11 @@ TEST(Compressed, ShapeMismatchThrows) {
 
 TEST(Compressed, RequiresCompressedScheme) {
   PipelineConfig pc;  // defaults to kTwoGrid
-  EXPECT_THROW(CompressedJacobi(pc, 10, 10, 10), std::invalid_argument);
+  EXPECT_THROW(CompressedSolver<JacobiOp>(pc, 10, 10, 10),
+               std::invalid_argument);
   pc.scheme = GridScheme::kCompressed;
-  EXPECT_THROW(PipelinedJacobi(pc, 10, 10, 10), std::invalid_argument);
+  EXPECT_THROW(PipelinedSolver<JacobiOp>(pc, 10, 10, 10),
+               std::invalid_argument);
 }
 
 }  // namespace

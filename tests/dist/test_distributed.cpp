@@ -276,7 +276,7 @@ TEST(Distributed, GatherReassemblesOwnedCells) {
   simnet::World world(4);
   core::Grid3 out = initial.clone();
   world.run([&](simnet::Comm& comm) {
-    DistributedJacobi solver(comm, cfg, initial);
+    DistributedStencil<core::JacobiOp> solver(comm, cfg, initial);
     solver.gather(comm.rank() == 0 ? &out : nullptr);
   });
   // No epochs advanced: the gathered grid must be the initial state.
@@ -290,7 +290,7 @@ TEST(Distributed, AdvanceReportsLevelsAndVolume) {
   cfg.pipeline.team_size = 2;  // h = 2
   simnet::World world(2);
   world.run([&](simnet::Comm& comm) {
-    DistributedJacobi solver(comm, cfg, initial);
+    DistributedStencil<core::JacobiOp> solver(comm, cfg, initial);
     const DistStats st = solver.advance(3);
     EXPECT_EQ(st.levels, 6);
     // One neighbour, one face message per epoch.
@@ -318,7 +318,7 @@ TEST(Distributed, RejectsBadGeometry) {
   cfg.proc_dims = {2, 2, 2};
   cfg.pipeline.team_size = 8;  // h = 8 > 4 owned cells per rank
   EXPECT_THROW(world.run([&](simnet::Comm& comm) {
-                 DistributedJacobi solver(comm, cfg, initial);
+                 DistributedStencil<core::JacobiOp> solver(comm, cfg, initial);
                }),
                std::invalid_argument);
 }
@@ -334,7 +334,7 @@ TEST(Distributed, RejectsThinUnevenPartitionOnEveryRank) {
   cfg.proc_dims = {2, 1, 1};
   cfg.pipeline.team_size = 4;  // h = 4
   EXPECT_THROW(world.run([&](simnet::Comm& comm) {
-                 DistributedJacobi solver(comm, cfg, initial);
+                 DistributedStencil<core::JacobiOp> solver(comm, cfg, initial);
                  solver.advance(1);  // deadlocks here if ranks disagree
                }),
                std::invalid_argument);
