@@ -695,7 +695,8 @@ void overlap(const Opts& o) {
     cfg.overlap = overlapped;
     simnet::World world(4, slow);
     world.run([&](simnet::Comm& comm) {
-      dist::DistributedStencil<core::JacobiOp> solver(comm, cfg, initial);
+      dist::DistributedStencil solver(core::Operator::kJacobi, comm, cfg,
+                                      initial);
       solver.advance(8);
     });
     return world.max_sim_time();

@@ -1,7 +1,7 @@
 // Quickstart: solve a 3-D boundary value problem with pipelined temporal
 // blocking in ~40 lines.
 //
-//   $ ./quickstart [--n 128] [--steps 64] [--teams 1] [--t 2] [--T 2]
+//   $ ./quickstart [--n 128] [--steps 64] [--teams 1] [--threads 2] [--T 2]
 //                  [--variant pipelined] [--operator jacobi]
 //   $ ./quickstart --scenario scenarios/quickstart.json
 //
@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
   // performing T in-cache updates per block (see README for tuning).
   tb::core::SolverConfig cfg;
   cfg.pipeline.teams = static_cast<int>(args.get_int("teams", 1));
-  cfg.pipeline.team_size = static_cast<int>(args.get_int("t", 2));
+  cfg.pipeline.team_size = flags.threads;  // --threads (alias --t)
   cfg.pipeline.steps_per_thread = static_cast<int>(args.get_int("T", 2));
   cfg.pipeline.block = {n, 16, 16};
   cfg.pipeline.du = 4;

@@ -95,19 +95,7 @@ StencilSolver Registry::make(std::string_view variant, std::string_view op,
   if (!apply_variant(cfg, variant))
     throw_unknown("variant", variant, selectable());
   if (!apply_operator(cfg, op)) throw_unknown("operator", op, operators());
-  const bool needs_aux =
-      cfg.op == Operator::kVarCoef ||
-      (cfg.op == Operator::kLbm && cfg.lbm_geometry_from_aux);
-  if (needs_aux) {
-    if (!kappa)
-      throw std::invalid_argument(
-          cfg.op == Operator::kVarCoef
-              ? "make_solver: operator 'varcoef' needs a kappa field"
-              : "make_solver: operator 'lbm' with lbm_geometry_from_aux "
-                "needs the geometry-code grid");
-    return StencilSolver(cfg, initial, kappa);
-  }
-  return StencilSolver(cfg, initial);
+  return StencilSolver(cfg, initial, kappa);
 }
 
 // ---- free-function shims ----------------------------------------------

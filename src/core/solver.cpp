@@ -65,6 +65,10 @@ struct OpState {
   /// fill.
   void reset(const SolverConfig& /*cfg*/, const Grid3& /*level0*/,
              const GridSource* /*aux*/, util::ThreadPool* /*team*/) {}
+  /// Appends the read-write side-channel grids holding absolute level
+  /// `level` (see StencilSolver::level_grids); none for carrier-only
+  /// operators.
+  void add_fields(int /*level*/, std::vector<Grid3*>& /*out*/) {}
 };
 
 template <>
@@ -82,12 +86,14 @@ struct OpState<VarCoefOp> {
     if (aux != nullptr)
       with_grid(*aux, [&](const Grid3& kappa) { coeffs.rebuild(kappa); });
   }
+  void add_fields(int /*level*/, std::vector<Grid3*>& /*out*/) {}
 };
 
 template <>
 struct OpState<RedBlackOp> {
   LevelOrigin origin;
-  [[nodiscard]] RedBlackOp make() { return RedBlackOp{&origin}; }
+  int parity = 0;  ///< parity of a rank window's global origin
+  [[nodiscard]] RedBlackOp make() { return RedBlackOp{&origin, parity}; }
   void set_level_base(int base) { origin.base = base; }
   [[nodiscard]] const lbm::LbmState* lbm() const { return nullptr; }
   [[nodiscard]] long long updates_per_level() const { return -1; }
@@ -96,6 +102,7 @@ struct OpState<RedBlackOp> {
              const GridSource* /*aux*/, util::ThreadPool* /*team*/) {
     origin.base = 0;
   }
+  void add_fields(int /*level*/, std::vector<Grid3*>& /*out*/) {}
 };
 
 template <>
@@ -128,7 +135,13 @@ struct OpState<lbm::LbmOp> {
     state.reset(level0, staged ? &*staged : nullptr, team);
     staged.reset();
   }
+  void add_fields(int level, std::vector<Grid3*>& out) {
+    lbm::Lattice& lat = state.lattice(level);
+    for (int q = 0; q < lbm::kQ; ++q) out.push_back(&lat.f(q));
+  }
 };
+
+}  // namespace
 
 /// The wavefront of Ref. [2] as a pipeline plan: one team of t stages,
 /// one update each (T = 1) on blocks of one whole xy-plane, every stage
@@ -151,8 +164,6 @@ PipelineConfig wavefront_plan(const WavefrontConfig& wf, int nx, int ny) {
   return p;
 }
 
-}  // namespace
-
 struct StencilSolver::Impl {
   virtual ~Impl() = default;
   /// Advances by `steps` levels; `base` is the absolute level count
@@ -164,6 +175,8 @@ struct StencilSolver::Impl {
   virtual void reset(const GridSource& initial, const GridSource* aux) = 0;
   [[nodiscard]] virtual const Grid3& solution() const = 0;
   [[nodiscard]] virtual const lbm::LbmState* lbm_state() const = 0;
+  [[nodiscard]] virtual const SolverConfig& config() const = 0;
+  [[nodiscard]] virtual std::vector<Grid3*> level_grids(int level) = 0;
 };
 
 /// The whole advance state machine, instantiated per operator.  Only the
@@ -172,8 +185,9 @@ struct StencilSolver::Impl {
 template <class Op>
 struct StencilSolver::OpImpl final : StencilSolver::Impl {
   OpImpl(const SolverConfig& cfg, const GridSource& initial,
-         OpState<Op> state)
+         OpState<Op> state, const GridWindow* window)
       : cfg_(cfg),
+        windowed_(window != nullptr),
         state_(std::move(state)),
         nx_(initial.nx()),
         ny_(initial.ny()),
@@ -210,7 +224,10 @@ struct StencilSolver::OpImpl final : StencilSolver::Impl {
       case Variant::kPipelined:
       case Variant::kWavefront: {
         cfg_.pipeline.validate();
-        if (cfg_.pipeline.scheme == GridScheme::kTwoGrid) {
+        if (windowed_) {
+          pipelined_ = std::make_unique<PipelinedSolver<Op>>(
+              cfg_.pipeline, window->clips, op);
+        } else if (cfg_.pipeline.scheme == GridScheme::kTwoGrid) {
           pipelined_ = std::make_unique<PipelinedSolver<Op>>(cfg_.pipeline,
                                                              nx_, ny_, nz_,
                                                              op);
@@ -233,8 +250,9 @@ struct StencilSolver::OpImpl final : StencilSolver::Impl {
     fill_carriers(team(), initial, a_, b_);
     state_.reset(cfg_, a_, nullptr, team());
     // Static facts about the operator's working set (lbm geometry row
-    // classification, prefetch path) go to the registry once.
-    if (obs::enabled())
+    // classification, prefetch path) go to the registry once — not per
+    // rank window, where each rank would overwrite the gauges.
+    if (obs::enabled() && !windowed_)
       if (const lbm::LbmState* s = state_.lbm()) s->publish_telemetry();
   }
 
@@ -265,6 +283,9 @@ struct StencilSolver::OpImpl final : StencilSolver::Impl {
         const int depth = cfg_.pipeline.levels_per_sweep();
         const int sweeps = steps / depth;
         const int remainder = steps % depth;
+        if (windowed_ && remainder > 0)
+          throw std::invalid_argument(
+              "StencilSolver: a rank window advances whole sweeps only");
         if (sweeps > 0)
           accumulate(total, advance_blocked_sweeps(sweeps, base));
         if (remainder > 0)
@@ -302,6 +323,14 @@ struct StencilSolver::OpImpl final : StencilSolver::Impl {
 
   [[nodiscard]] const lbm::LbmState* lbm_state() const override {
     return state_.lbm();
+  }
+
+  [[nodiscard]] const SolverConfig& config() const override { return cfg_; }
+
+  [[nodiscard]] std::vector<Grid3*> level_grids(int level) override {
+    std::vector<Grid3*> grids{&a_};
+    state_.add_fields(level, grids);
+    return grids;
   }
 
  private:
@@ -346,6 +375,7 @@ struct StencilSolver::OpImpl final : StencilSolver::Impl {
   }
 
   SolverConfig cfg_;
+  bool windowed_;
   OpState<Op> state_;
   int nx_, ny_, nz_;
   Grid3 a_, b_;
@@ -355,84 +385,75 @@ struct StencilSolver::OpImpl final : StencilSolver::Impl {
   std::unique_ptr<CompressedSolver<Op>> compressed_;
 };
 
-namespace {
-
-/// The default lbm geometry when no auxiliary field is supplied: the
-/// lid-driven cavity of the grid's shape.  Unfilled — OpImpl fills it on
-/// its team.
-lbm::LbmState default_lbm_state(const SolverConfig& cfg,
-                                const GridSource& initial) {
-  lbm::LbmState s(
-      lbm::Geometry::cavity(initial.nx(), initial.ny(), initial.nz()),
-      cfg.lbm, cfg.lbm_storage);
-  s.prefetch = cfg.lbm_prefetch;
-  return s;
-}
-
-}  // namespace
-
 StencilSolver::StencilSolver(const SolverConfig& cfg,
                              const GridSource& initial)
-    : cfg_(cfg) {
-  if (cfg.telemetry) obs::set_enabled(true);
-  switch (cfg.op) {
-    case Operator::kJacobi:
-      impl_ = std::make_unique<OpImpl<JacobiOp>>(cfg, initial,
-                                                 OpState<JacobiOp>{});
-      return;
-    case Operator::kBox27:
-      impl_ = std::make_unique<OpImpl<Box27Op>>(cfg, initial,
-                                                OpState<Box27Op>{});
-      return;
-    case Operator::kRedBlack:
-      impl_ = std::make_unique<OpImpl<RedBlackOp>>(cfg, initial,
-                                                   OpState<RedBlackOp>{});
-      return;
-    case Operator::kLbm:
-      if (cfg.lbm_geometry_from_aux)
-        throw std::invalid_argument(
-            "StencilSolver: lbm_geometry_from_aux needs the geometry-code "
-            "grid — use the (config, initial, kappa) constructor");
-      impl_ = std::make_unique<OpImpl<lbm::LbmOp>>(
-          cfg, initial, OpState<lbm::LbmOp>{default_lbm_state(cfg, initial)});
-      return;
-    case Operator::kVarCoef:
-      throw std::invalid_argument(
-          "StencilSolver: the varcoef operator needs a kappa field — use "
-          "the (config, initial, kappa) constructor");
-  }
-  throw std::invalid_argument("StencilSolver: unknown operator");
-}
+    : StencilSolver(cfg, initial, GridSource()) {}
 
 StencilSolver::StencilSolver(const SolverConfig& cfg,
                              const GridSource& initial,
-                             const GridSource& kappa)
-    : cfg_(cfg) {
+                             const GridSource& kappa,
+                             const GridWindow* window) {
   if (cfg.telemetry) obs::set_enabled(true);
-  if (cfg.op == Operator::kJacobi || cfg.op == Operator::kBox27 ||
-      cfg.op == Operator::kRedBlack ||
-      (cfg.op == Operator::kLbm && !cfg.lbm_geometry_from_aux)) {
-    // Stateless operators (and lbm with its default cavity geometry)
-    // ignore the auxiliary field.
-    *this = StencilSolver(cfg, initial);
-    return;
-  }
-  if (!kappa.same_shape(initial.nx(), initial.ny(), initial.nz()))
+  if (window != nullptr && (cfg.variant != Variant::kPipelined ||
+                            cfg.pipeline.scheme != GridScheme::kTwoGrid))
+    throw std::invalid_argument(
+        "StencilSolver: a rank window runs the pipelined two-grid variant "
+        "only");
+  // Stateless operators (and lbm with its default cavity geometry)
+  // ignore the auxiliary field.
+  const bool needs_aux =
+      cfg.op == Operator::kVarCoef ||
+      (cfg.op == Operator::kLbm && cfg.lbm_geometry_from_aux);
+  if (needs_aux && !kappa)
+    throw std::invalid_argument(
+        cfg.op == Operator::kVarCoef
+            ? "StencilSolver: the varcoef operator needs a kappa field"
+            : "StencilSolver: lbm_geometry_from_aux needs the geometry-code "
+              "grid");
+  if (needs_aux && !kappa.same_shape(initial.nx(), initial.ny(), initial.nz()))
     throw std::invalid_argument(
         "StencilSolver: kappa shape must match the initial grid");
-  if (cfg.op == Operator::kLbm) {
-    lbm::LbmState s(lbm::geometry_from_codes(kappa), cfg.lbm,
-                    cfg.lbm_storage);
-    s.prefetch = cfg.lbm_prefetch;
-    impl_ = std::make_unique<OpImpl<lbm::LbmOp>>(
-        cfg, initial, OpState<lbm::LbmOp>{std::move(s)});
-    return;
+  switch (cfg.op) {
+    case Operator::kJacobi:
+      impl_ = std::make_unique<OpImpl<JacobiOp>>(cfg, initial,
+                                                 OpState<JacobiOp>{}, window);
+      return;
+    case Operator::kBox27:
+      impl_ = std::make_unique<OpImpl<Box27Op>>(cfg, initial,
+                                                OpState<Box27Op>{}, window);
+      return;
+    case Operator::kRedBlack: {
+      // The two-color update colors cells by their GLOBAL coordinate sum.
+      OpState<RedBlackOp> s;
+      if (window != nullptr)
+        s.parity = (window->origin[0] + window->origin[1] +
+                    window->origin[2]) & 1;
+      impl_ = std::make_unique<OpImpl<RedBlackOp>>(cfg, initial, std::move(s),
+                                                   window);
+      return;
+    }
+    case Operator::kLbm: {
+      // Unfilled: OpImpl fills the lattices on its team.
+      lbm::LbmState s(cfg.lbm_geometry_from_aux
+                          ? lbm::geometry_from_codes(kappa)
+                          : lbm::Geometry::cavity(initial.nx(), initial.ny(),
+                                                  initial.nz()),
+                      cfg.lbm, cfg.lbm_storage);
+      s.prefetch = cfg.lbm_prefetch;
+      impl_ = std::make_unique<OpImpl<lbm::LbmOp>>(
+          cfg, initial, OpState<lbm::LbmOp>{std::move(s)}, window);
+      return;
+    }
+    case Operator::kVarCoef:
+      impl_ = std::make_unique<OpImpl<VarCoefOp>>(
+          cfg, initial,
+          OpState<VarCoefOp>{with_grid(kappa, [](const Grid3& k) {
+            return DiffusionCoefficients(k);
+          })},
+          window);
+      return;
   }
-  impl_ = std::make_unique<OpImpl<VarCoefOp>>(
-      cfg, initial,
-      OpState<VarCoefOp>{with_grid(kappa, [](const Grid3& k) {
-        return DiffusionCoefficients(k);
-      })});
+  throw std::invalid_argument("StencilSolver: unknown operator");
 }
 
 StencilSolver::~StencilSolver() = default;
@@ -461,6 +482,12 @@ const Grid3& StencilSolver::solution() const { return impl_->solution(); }
 
 const lbm::LbmState* StencilSolver::lbm_state() const {
   return impl_->lbm_state();
+}
+
+const SolverConfig& StencilSolver::config() const { return impl_->config(); }
+
+std::vector<Grid3*> StencilSolver::level_grids() {
+  return impl_->level_grids(levels_done_);
 }
 
 }  // namespace tb::core

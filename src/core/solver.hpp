@@ -3,8 +3,9 @@
 //
 // StencilSolver hides the grid bookkeeping (parities, compressed margins,
 // remainder steps that are not a multiple of the team-sweep depth) behind
-// a single run-to-N-steps call, which is what the examples and the
-// distributed solver build on.  Two orthogonal axes select the algorithm:
+// a single run-to-N-steps call, which is what the examples and each
+// rank of the distributed solver build on.  Two orthogonal axes select
+// the algorithm:
 //
 //   Variant  — how the sweeps are scheduled (reference, baseline,
 //              pipelined [two-grid or compressed], wavefront [a
@@ -17,8 +18,10 @@
 // naive reference of the same operator.
 #pragma once
 
+#include <array>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/baseline.hpp"
 #include "core/compressed.hpp"
@@ -131,6 +134,21 @@ struct SolverConfig {
   bool telemetry = false;
 };
 
+/// A rank's subdomain of a decomposed global grid (dist/distributed.hpp):
+/// the sources passed with it hold the window's data, local cell
+/// (0, 0, 0) sitting at global index `origin`, and a team sweep updates
+/// level s only inside clips[s - 1] (the ghost layers shrink by one cell
+/// per level).  Only the pipelined two-grid variant runs on a window.
+struct GridWindow {
+  std::array<int, 3> origin{};
+  std::vector<LevelClip> clips;
+};
+
+/// The wavefront of Ref. [2] as the pipeline plan the facade runs it
+/// with, for a grid of nx * ny planes.
+[[nodiscard]] PipelineConfig wavefront_plan(const WavefrontConfig& wf,
+                                            int nx, int ny);
+
 /// Owns the working grids and advances them by arbitrary step counts.
 class StencilSolver {
  public:
@@ -146,8 +164,11 @@ class StencilSolver {
   /// as `initial`): the material field for Operator::kVarCoef, the
   /// geometry codes for Operator::kLbm when cfg.lbm_geometry_from_aux is
   /// set.  Valid for any operator; the stateless ones ignore kappa.
+  /// With a `window`, the grids are that rank window: red-black colors
+  /// cells by global coordinates and advance() runs whole sweeps of the
+  /// window's clips only.
   StencilSolver(const SolverConfig& cfg, const GridSource& initial,
-                const GridSource& kappa);
+                const GridSource& kappa, const GridWindow* window = nullptr);
 
   ~StencilSolver();
   StencilSolver(StencilSolver&&) noexcept;
@@ -185,7 +206,16 @@ class StencilSolver {
   [[nodiscard]] const Grid3& solution() const;
 
   [[nodiscard]] int levels_done() const { return levels_done_; }
-  [[nodiscard]] const SolverConfig& config() const { return cfg_; }
+
+  /// The configuration that runs: for the wavefront, `pipeline` holds
+  /// its plan (wavefront_plan).
+  [[nodiscard]] const SolverConfig& config() const;
+
+  /// The current level's mutable grids: the carrier, then for
+  /// Operator::kLbm the 19 distribution components of
+  /// lattice(levels_done()) — what a ghost exchange refreshes and a state
+  /// gather reads.  Writes must keep them a valid state of that level.
+  [[nodiscard]] std::vector<Grid3*> level_grids();
 
   /// Side-channel state of the lbm operator (distributions + geometry),
   /// for flow diagnostics beyond the density carrier:
@@ -198,7 +228,6 @@ class StencilSolver {
   template <class Op>
   struct OpImpl;
 
-  SolverConfig cfg_;
   int levels_done_ = 0;
   std::unique_ptr<Impl> impl_;
 };

@@ -57,7 +57,7 @@ namespace tb::core {
 /// StencilSolver facade bumps `base` between phases (team sweeps vs.
 /// remainder sweeps, consecutive advance() calls) on the operator state
 /// it owns; drivers that already pass absolute levels into the schemes
-/// (the distributed solver's base_level) leave the origin at nullptr/0.
+/// (the reference oracles) leave the origin at nullptr/0.
 /// Never mutated while a sweep is in flight — operators may read it
 /// without synchronization.
 struct LevelOrigin {
@@ -383,17 +383,17 @@ struct Box27Op {
 /// The color phase depends on the ABSOLUTE time level; schemes pass
 /// run-local levels, so the facade owns a LevelOrigin and bumps its base
 /// between phases.  A nullptr origin means the caller already passes
-/// absolute levels (the distributed solver).
+/// absolute levels (the reference oracles).
 struct RedBlackOp {
   static constexpr int kHalo = 1;
   static constexpr bool kHasNontemporal = false;
 
   const LevelOrigin* origin = nullptr;
 
-  /// Parity of the coordinate frame: a driver whose (i, j, k) are not
-  /// the global grid coordinates (the distributed solver indexes the
-  /// rank-local window) adds the parity of its window origin here so
-  /// every rank colors cells by their GLOBAL coordinate sum.
+  /// Parity of the coordinate frame: a solver whose (i, j, k) are not
+  /// the global grid coordinates (a facade on a rank GridWindow) adds
+  /// the parity of its window origin here so every rank colors cells by
+  /// their GLOBAL coordinate sum.
   int parity = 0;
 
   [[nodiscard]] int absolute(int level) const {
@@ -433,63 +433,6 @@ struct RedBlackOp {
               int level, int j, int k, int i0, int i1) const {
     row(dst, c, jm, jp, km, kp, level, j, k, i0, i1);  // no streaming path
   }
-};
-
-// ---- state-fields halo contract ----------------------------------------
-//
-// Some operators carry read-write per-cell state *beside* the carrier
-// grid pair the schemes schedule (lbm::LbmOp's 19 distribution lattices).
-// Shared-memory schemes need no special handling — the side channel is
-// indexed by logical coordinates and the two-grid invariant keeps its
-// ping-pong safe — but a rank-decomposed driver must (a) know which
-// fields exist, (b) build a rank-local window of them from the global
-// inputs, and (c) refresh their ghost layers and gather their owned
-// cells exactly like the carrier's.  StateFieldsTraits is that contract.
-//
-// The primary template is the opt-out: stateless operators, and operators
-// whose auxiliary fields are read-only functions of global inputs that
-// every rank can rebuild locally (VarCoefOp's face coefficients,
-// RedBlackOp's parity), declare no state fields and the carrier exchange
-// transports everything.  An operator opts in by specializing the traits
-// with:
-//
-//   static constexpr bool kHasStateFields = true;
-//   struct Params { ... };  // op-specific window construction inputs
-//   class Window {
-//     Window(const StateWindowSpec&, const Grid3& local_initial,
-//            const Grid3* global_aux, const Params&);   // (b)
-//     Op op();                              // operator bound to the window
-//     static constexpr int field_count();   // (a)
-//     /* range of Grid3* */ fields(int level);          // (c) — the
-//     /* range of const Grid3* */ fields(int level) const;  // read-write
-//     // fields holding ABSOLUTE time level `level`: what a ghost
-//     // exchange must refresh before an epoch starting at that base
-//     // level, and what a gather collects at the final level.
-//   };
-//
-// Every field must be a Grid3 of the window's local shape, indexed by the
-// same local (i, j, k) as the carrier, so one exchange geometry serves
-// the carrier and all declared fields.
-
-/// Rank-window frame for cutting an operator's side-channel state out of
-/// the global problem: the distributed driver fills one in per rank.
-/// `origin` may be negative and `origin + local_n` may exceed `global_n`
-/// on physical-boundary sides — window cells outside the global domain
-/// are never read by an admissible update.
-struct StateWindowSpec {
-  std::array<int, 3> global_n{};  ///< global grid extents
-  std::array<int, 3> origin{};    ///< global index of local cell (0,0,0)
-  std::array<int, 3> local_n{};   ///< local extents (owned + 2 * halo)
-};
-
-/// Primary template: no read-write side-channel fields (see the contract
-/// comment above).  Specialized per operator, e.g. for lbm::LbmOp in
-/// lbm/stencil_op.hpp.
-template <class Op>
-struct StateFieldsTraits {
-  static constexpr bool kHasStateFields = false;
-  struct Params {};  ///< no construction inputs
-  struct Window {};  ///< no side-channel state
 };
 
 /// Applies one operator level over window `w`: dst <- op(src) producing

@@ -1,9 +1,9 @@
-// Geometry of the block decomposition, extracted from DistributedStencil
-// so that every consumer of the per-rank epoch schedule prices the *same*
-// schedule:
+// Geometry of the block decomposition, shared so that every consumer of
+// the per-rank epoch schedule prices the *same* schedule:
 //
-//  * the executing solver (distributed_jacobi.hpp) cuts its rank-local
-//    windows, level clips and exchange slabs from it,
+//  * the executing solver (distributed.hpp) cuts each rank's window
+//    (the core::GridWindow its StencilSolver runs on: origin and level
+//    clips) and its exchange slabs from it,
 //  * the rank-program builder (rank_program.hpp) derives the modeled
 //    compute/send/recv sequence the discrete-event engine replays from
 //    the identical boxes — which is what makes the event engine's epoch

@@ -1,6 +1,6 @@
 // Builds the per-rank halo-exchange programs (simnet::RankProgram) from a
-// dist::Decomposition — the modeled twin of DistributedStencil::advance's
-// sequential epoch loop.  Both draw every box from the same Decomposition
+// dist::Decomposition — the modeled twin of the sequential epoch loop of
+// DistributedStencil::advance (dist/distributed.hpp).  Both draw every box from the same Decomposition
 // methods, so the bytes, message counts, tags and op order here are
 // exactly those the executing solver produces; only the payload contents
 // differ (the event engine and the replayer move dummy bytes).
@@ -25,7 +25,7 @@ struct HaloProgramSpec {
   std::array<int, 3> global_n{34, 34, 34};
   std::array<int, 3> proc_dims{1, 1, 1};
   int halo = 1;          ///< ghost width = levels per epoch
-  int fields = 1;        ///< grids per exchanged cell (carrier + state; 20 for lbm)
+  int fields = 1;        ///< grids exchanged per cell (level_grids(); 20 for lbm)
   double proc_lups = 1.0e9;  ///< modeled per-rank update rate [LUP/s]
   int epochs = 1;
   bool mark_epochs = true;  ///< emit a kEpochMark after every epoch

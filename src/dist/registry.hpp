@@ -1,8 +1,8 @@
 // String-registry access to the distributed solver, mirroring
 // core/registry.hpp for the rank-parallel layer: every registry operator
-// is constructible as DistributedStencil<Op> by name, behind one
-// type-erased interface, so CLIs and sweeps select the distributed
-// matrix with the same strings as the shared-memory one.
+// is constructible as a DistributedStencil by name, so CLIs and sweeps
+// select the distributed matrix with the same strings as the
+// shared-memory one.
 //
 // The variant-string convention is a "dist:" prefix on the operator
 // ("dist:jacobi", "dist:varcoef", "dist:lbm"): the distributed solver
@@ -19,54 +19,12 @@
 #include <vector>
 
 #include "core/registry.hpp"
-#include "dist/distributed_jacobi.hpp"
+#include "dist/distributed.hpp"
 
 namespace tb::dist {
 
-/// Type-erased distributed solver: one instance per rank, constructed
-/// inside World::run, same collective contract as DistributedStencil.
-class AnyDistributed {
- public:
-  virtual ~AnyDistributed() = default;
-  virtual DistStats advance(int epochs) = 0;
-  virtual void gather(core::Grid3* out, int root) = 0;
-  /// Read-write side-channel fields the operator declares through the
-  /// state-fields contract (19 distribution grids for "lbm", 0 for the
-  /// carrier-only operators).
-  [[nodiscard]] virtual int state_field_count() const = 0;
-  /// Gathers those fields at the current time level into `*out` on the
-  /// root rank (see DistributedStencil::gather_state).  Collective; a
-  /// no-op clearing root's vector when state_field_count() == 0.
-  virtual void gather_state(std::vector<core::Grid3>* out, int root) = 0;
-  [[nodiscard]] virtual int halo() const = 0;
-};
-
-namespace detail {
-
-template <class Op>
-class DistributedModel final : public AnyDistributed {
- public:
-  DistributedModel(simnet::Comm& comm, const DistConfig& cfg,
-                   const core::Grid3& initial, const core::Grid3* aux)
-      : impl_(comm, cfg, initial, aux) {}
-
-  DistStats advance(int epochs) override { return impl_.advance(epochs); }
-  void gather(core::Grid3* out, int root) override {
-    impl_.gather(out, root);
-  }
-  [[nodiscard]] int state_field_count() const override {
-    return DistributedStencil<Op>::state_field_count();
-  }
-  void gather_state(std::vector<core::Grid3>* out, int root) override {
-    impl_.gather_state(out, root);
-  }
-  [[nodiscard]] int halo() const override { return impl_.halo(); }
-
- private:
-  DistributedStencil<Op> impl_;
-};
-
-}  // namespace detail
+/// The name the registry hands out: one class serves every operator.
+using AnyDistributed = DistributedStencil;
 
 /// True for "dist:<operator>" variant strings.
 [[nodiscard]] inline bool is_dist_variant(std::string_view name) {
@@ -99,8 +57,8 @@ class DistributedModel final : public AnyDistributed {
 /// dist_aux_requirement() and fail loudly when it is missing.
 /// ':'-qualified storage-policy aliases ("lbm:aa") are skipped: they are
 /// shared-memory only (the AA stream step pushes into the ghost ring,
-/// which the read-only state-fields halo cannot transport back), so no
-/// distributed counterpart exists.
+/// which the ghost exchange cannot transport back), so no distributed
+/// counterpart exists.
 [[nodiscard]] inline std::vector<std::string> registered_dist_variants() {
   std::vector<std::string> names;
   for (const std::string& op : core::registered_operators())
@@ -120,63 +78,34 @@ class DistributedModel final : public AnyDistributed {
     std::string_view op, simnet::Comm& comm, const DistConfig& cfg,
     const core::Grid3& initial, const core::Grid3* aux = nullptr) {
   const std::string_view bare = dist_operator(op);
-  if (bare == "lbm:aa")
+  core::SolverConfig parsed;
+  if (!core::apply_operator(parsed, bare)) {
+    std::ostringstream os;
+    os << "unknown distributed operator '" << bare << "' (valid:";
+    for (const std::string& name : registered_dist_variants()) {
+      os << " " << name;
+      const std::string_view req = dist_aux_requirement(name);
+      if (!req.empty()) os << " [" << req << "]";
+    }
+    os << ")";
+    throw std::invalid_argument(os.str());
+  }
+  if (parsed.lbm_storage != lbm::LbmStorage::kTwoLattice)
     throw std::invalid_argument(
         "make_distributed: 'lbm:aa' is shared-memory only — the AA "
         "stream step pushes distributions INTO the ghost ring, which the "
-        "read-only state-fields halo contract cannot transport back; run "
+        "exchange of the current level's grids cannot transport back; run "
         "'dist:lbm' (two-lattice) instead");
-  if (bare == "jacobi")
-    return std::make_unique<detail::DistributedModel<core::JacobiOp>>(
-        comm, cfg, initial, nullptr);
-  if (bare == "box27")
-    return std::make_unique<detail::DistributedModel<core::Box27Op>>(
-        comm, cfg, initial, nullptr);
-  if (bare == "varcoef") {
-    if (aux == nullptr)
-      throw std::invalid_argument(
-          "make_distributed: operator 'varcoef' needs the global kappa "
-          "field");
-    return std::make_unique<detail::DistributedModel<core::VarCoefOp>>(
-        comm, cfg, initial, aux);
-  }
-  if (bare == "redblack")
-    // The two-color operator carries its whole state in the solution
-    // grid, so the generic ghost exchange transports everything it
-    // needs; the rank-local pipelined solver passes absolute base
-    // levels, which is what the default-constructed op's color phase
-    // reads (LevelOrigin = nullptr).
-    return std::make_unique<detail::DistributedModel<core::RedBlackOp>>(
-        comm, cfg, initial, nullptr);
-  if (bare == "lbm")
-    // The lbm operator's real state is its 19 distribution lattices plus
-    // geometry flags.  The state-fields contract
-    // (core::StateFieldsTraits<lbm::LbmOp>) cuts a rank-local window of
-    // them, the epoch exchange transports the base-level lattice
-    // alongside the density carrier, and gather_state() collects the
-    // final-level distributions — the decomposed run is bit-identical to
-    // the single-rank one.  Geometry is derived per rank from the global
-    // aux codes (cfg.lbm_geometry_from_aux) or the default lid-driven
-    // cavity; a missing or ill-shaped aux grid throws from the window.
-    return std::make_unique<detail::DistributedModel<lbm::LbmOp>>(
-        comm, cfg, initial, aux);
-  std::ostringstream os;
-  os << "unknown distributed operator '" << bare << "' (valid:";
-  for (const std::string& name : registered_dist_variants()) {
-    os << " " << name;
-    const std::string_view req = dist_aux_requirement(name);
-    if (!req.empty()) os << " [" << req << "]";
-  }
-  os << ")";
-  throw std::invalid_argument(os.str());
+  return std::make_unique<DistributedStencil>(parsed.op, comm, cfg, initial,
+                                              aux);
 }
 
-/// Convenience driver mirroring run_distributed for registry names:
-/// runs `epochs` epochs on a fresh `ranks`-rank World and gathers the
-/// final state into `*out` (pre-sized to the global shape, boundary
-/// already present).  `state_out`, when non-null, additionally receives
-/// the operator's gathered state fields (the final-level distribution
-/// lattice for "lbm"; left empty for carrier-only operators).
+/// Convenience driver: runs `epochs` epochs of operator `op` on a fresh
+/// `ranks`-rank World and gathers the final state into `*out` (pre-sized
+/// to the global shape, boundary already present).  `state_out`, when
+/// non-null, additionally receives the operator's gathered state fields
+/// (the final-level distribution lattice for "lbm"; left empty for
+/// carrier-only operators).
 inline void run_distributed_named(std::string_view op, int ranks,
                                   const DistConfig& cfg,
                                   const core::Grid3& initial, int epochs,

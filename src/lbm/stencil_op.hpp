@@ -50,9 +50,9 @@
 // boundary cell would never be updated, freezing its slots while the
 // interior's alternate between arrangements — the constructor rejects
 // such geometries.  The distributed layer cannot run AA at all (the
-// stream step pushes INTO the ghost ring, which the read-only halo
-// contract of StateFieldsTraits cannot transport back), so the state
-// window refuses the policy and dist names reject it up front.
+// stream step pushes INTO the ghost ring, which a ghost exchange of the
+// current level's grids cannot transport back), so dist names reject it
+// up front.
 //
 // The carrier holds the fluid density: level 0 is the caller's initial
 // grid (interpreted as the initial density; the distributions start at
@@ -541,161 +541,6 @@ struct LbmOp {
         s.prefetch);
   }
 };
-
-}  // namespace tb::lbm
-
-namespace tb::core {
-
-/// State-fields halo contract of the lbm operator (see the contract
-/// comment in core/stencil_op.hpp): the read-write side channel is the
-/// two-lattice distribution ping-pong — the fields of absolute level L
-/// are the 19 component grids of lattice L%2, which is what a ghost
-/// exchange must refresh before an epoch starting at base level L (the
-/// first update of the epoch pulls level-L distributions from the ghost
-/// region) and what a gather collects at the final level.  The geometry
-/// flags are NOT a state field: they are a read-only function of global
-/// inputs (the geometry-code aux grid, or the default lid-driven cavity
-/// of the global shape), so every rank cuts its own window instead of
-/// exchanging them — the same reasoning that keeps varcoef's face
-/// coefficients out of the wire.
-///
-/// The AA storage policy has NO state-fields representation: its stream
-/// step pushes into the ghost ring, i.e. it needs a write-back halo the
-/// read-only contract cannot express, so the window refuses the policy
-/// at construction (shared-memory schemes run AA through LbmState
-/// directly; the dist registry rejects "lbm:aa" names up front).
-template <>
-struct StateFieldsTraits<lbm::LbmOp> {
-  static constexpr bool kHasStateFields = true;
-
-  /// Window construction inputs beyond the rank frame, mirroring
-  /// SolverConfig's lbm knobs.
-  struct Params {
-    lbm::LbmConfig physics{};
-    bool geometry_from_aux = false;
-    lbm::LbmStorage storage = lbm::LbmStorage::kTwoLattice;
-  };
-
-  /// Rank-local window of the operator state: geometry cut from the
-  /// global codes (or the global-shape default cavity) at the rank
-  /// window, distributions initialized to the equilibrium of the local
-  /// density window — cell for cell the same bits a global LbmState
-  /// holds at the matching global coordinates.
-  class Window {
-   public:
-    /// `local_initial` is the rank-local window of the global initial
-    /// density (out-of-domain cells may hold anything; they are never
-    /// read).  `global_aux` supplies the geometry codes when
-    /// `params.geometry_from_aux` is set — required then, with the
-    /// global shape — and is ignored otherwise.  Throws
-    /// std::invalid_argument on a missing or ill-shaped aux grid, or on
-    /// the (unsupported) AA storage policy.
-    Window(const StateWindowSpec& spec, const Grid3& local_initial,
-           const Grid3* global_aux, const Params& params)
-        : state_(window_geometry(spec, global_aux, params), params.physics,
-                 local_initial, checked_storage(params)) {}
-
-    /// Operator bound to this window's state.
-    [[nodiscard]] lbm::LbmOp op() { return lbm::LbmOp{&state_}; }
-
-    [[nodiscard]] static constexpr int field_count() { return lbm::kQ; }
-
-    /// The per-cell fields holding absolute time level `level`'s
-    /// distributions.  Levels are absolute: negative values are outside
-    /// the contract and throw.
-    [[nodiscard]] std::array<Grid3*, lbm::kQ> fields(int level) {
-      std::array<Grid3*, lbm::kQ> out{};
-      lbm::Lattice& lat = state_.lattice(checked_level(level));
-      for (int q = 0; q < lbm::kQ; ++q)
-        out[static_cast<std::size_t>(q)] = &lat.f(q);
-      return out;
-    }
-    [[nodiscard]] std::array<const Grid3*, lbm::kQ> fields(
-        int level) const {
-      std::array<const Grid3*, lbm::kQ> out{};
-      const lbm::Lattice& lat = state_.lattice(checked_level(level));
-      for (int q = 0; q < lbm::kQ; ++q)
-        out[static_cast<std::size_t>(q)] = &lat.f(q);
-      return out;
-    }
-
-    [[nodiscard]] const lbm::LbmState& state() const { return state_; }
-
-   private:
-    [[nodiscard]] static int checked_level(int level) {
-      if (level < 0)
-        throw std::invalid_argument(
-            "lbm state window: fields() takes an absolute (non-negative) "
-            "time level, got " + std::to_string(level));
-      return level;
-    }
-
-    [[nodiscard]] static lbm::LbmStorage checked_storage(
-        const Params& params) {
-      if (params.storage != lbm::LbmStorage::kTwoLattice)
-        throw std::invalid_argument(
-            "lbm state window: the AA storage policy is shared-memory "
-            "only — its stream step pushes into the ghost ring, which "
-            "the read-only state-fields halo cannot transport");
-      return params.storage;
-    }
-
-    [[nodiscard]] static lbm::Geometry window_geometry(
-        const StateWindowSpec& spec, const Grid3* global_aux,
-        const Params& params) {
-      // Deliberately decodes (and validates) the WHOLE global geometry
-      // before cutting the window, although only the window is kept: an
-      // invalid code must throw on *every* rank, not just the ranks
-      // whose window contains it — a rank-divergent throw would leave
-      // the surviving ranks deadlocked in the halo exchange (the same
-      // global-rule reasoning as the admissibility checks).  The cost is
-      // one O(global) pass per rank at construction, never per epoch.
-      const lbm::Geometry global =
-          params.geometry_from_aux
-              ? decoded_codes(spec, global_aux)
-              : lbm::Geometry::cavity(spec.global_n[0], spec.global_n[1],
-                                      spec.global_n[2]);
-      lbm::Geometry w(spec.local_n[0], spec.local_n[1], spec.local_n[2]);
-      for (int k = 0; k < spec.local_n[2]; ++k)
-        for (int j = 0; j < spec.local_n[1]; ++j)
-          for (int i = 0; i < spec.local_n[0]; ++i) {
-            const int gi = spec.origin[0] + i;
-            const int gj = spec.origin[1] + j;
-            const int gk = spec.origin[2] + k;
-            const bool in_domain =
-                gi >= 0 && gi < spec.global_n[0] && gj >= 0 &&
-                gj < spec.global_n[1] && gk >= 0 && gk < spec.global_n[2];
-            // Out-of-domain window cells (beyond the physical boundary)
-            // are never read; mark them solid.
-            w.set(i, j, k,
-                  in_domain ? global.at(gi, gj, gk) : lbm::Cell::kWall);
-          }
-      return w;
-    }
-
-    [[nodiscard]] static lbm::Geometry decoded_codes(
-        const StateWindowSpec& spec, const Grid3* global_aux) {
-      if (global_aux == nullptr)
-        throw std::invalid_argument(
-            "lbm state window: geometry_from_aux needs the global "
-            "geometry-code aux grid (0 = fluid, 1 = wall, 2 = lid) — "
-            "passed where varcoef passes its kappa field");
-      if (global_aux->nx() != spec.global_n[0] ||
-          global_aux->ny() != spec.global_n[1] ||
-          global_aux->nz() != spec.global_n[2])
-        throw std::invalid_argument(
-            "lbm state window: the geometry-code aux grid must match the "
-            "global grid shape");
-      return lbm::geometry_from_codes(*global_aux);
-    }
-
-    lbm::LbmState state_;
-  };
-};
-
-}  // namespace tb::core
-
-namespace tb::lbm {
 
 /// Naive reference advance of an LbmState by `steps` absolute levels
 /// starting after `base_level` — the oracle the equivalence tests pit

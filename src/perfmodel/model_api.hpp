@@ -40,8 +40,8 @@ struct OperatorTraffic {
   double aux_bytes = 0.0;      ///< read-only per-cell auxiliary fields
 
   /// Per-cell doubles a distributed ghost exchange transports per halo
-  /// layer: the carrier plus every read-write state field the operator
-  /// declares (core::StateFieldsTraits).  1 for the carrier-only
+  /// layer: the grids StencilSolver::level_grids() returns, the carrier
+  /// plus every read-write state field.  1 for the carrier-only
   /// operators; 20 for lbm (carrier + 19 distributions — the geometry
   /// flags are rebuilt rank-locally from global inputs, never wired).
   /// The halo/cluster models multiply their 8 B/cell messages by this.

@@ -1,7 +1,7 @@
 // Rank programs: the backend-neutral IR of a simulated-cluster run.
 //
-// A RankProgram is the per-rank schedule that used to live implicitly in
-// DistributedStencil's thread-coupled epoch loop — compute phases charged
+// A RankProgram is the per-rank schedule of the epoch loop of
+// dist::DistributedStencil (dist/distributed.hpp) — compute phases charged
 // at a modeled LUP rate, halo messages with explicit peers/tags/bytes,
 // epoch marks.  Extracting it lets the *same* schedule run through two
 // backends:

@@ -185,9 +185,17 @@ class Parser {
   }
 
   Value parse_value() {
-    switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+    const char c = peek();
+    if (c == '{' || c == '[') {
+      // Bounded recursion: a pathologically deep document fails like any
+      // malformed one instead of overflowing the stack.
+      if (++depth_ > kMaxDepth)
+        fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+      Value v = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return v;
+    }
+    switch (c) {
       case '"': return Value(parse_string());
       case 't':
       case 'f': return parse_bool();
@@ -312,9 +320,12 @@ class Parser {
     return Value(d);
   }
 
+  static constexpr int kMaxDepth = 256;  ///< max open arrays/objects
+
   const std::string& s_;
   std::string origin_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace detail

@@ -2,6 +2,7 @@
 // primitives.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 #include <thread>
 
@@ -45,6 +46,12 @@ void expect_partition(const BlockPlan& plan, bool forward) {
 struct PlanCase {
   BlockSize block;
   int nx, ny, nz, levels;
+
+  friend std::ostream& operator<<(std::ostream& os, const PlanCase& c) {
+    return os << "b" << c.block.bx << "x" << c.block.by << "x" << c.block.bz
+              << "_g" << c.nx << "x" << c.ny << "x" << c.nz << "_L"
+              << c.levels;
+  }
 };
 
 class BlockPlanPartition : public ::testing::TestWithParam<PlanCase> {};

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <ostream>
 #include <random>
 #include <thread>
 
@@ -51,6 +52,12 @@ void run_with_delays(const PipelineConfig& cfg, Grid3& a, Grid3& b,
 struct StressCase {
   int teams, t, T, dl, du, dt;
   int max_delay_us;
+
+  friend std::ostream& operator<<(std::ostream& os, const StressCase& c) {
+    return os << "n" << c.teams << "t" << c.t << "T" << c.T << "_dl" << c.dl
+              << "du" << c.du << "dt" << c.dt << "_delay" << c.max_delay_us
+              << "us";
+  }
 };
 
 class EngineStress : public ::testing::TestWithParam<StressCase> {};

@@ -1,6 +1,8 @@
 // Tests for the baseline (standard) solver and the StencilSolver facade.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "support/grid_test_utils.hpp"
 #include "core/reference.hpp"
 #include "core/solver.hpp"
@@ -18,6 +20,12 @@ struct BaselineCase {
   BlockSize block;
   bool nontemporal;
   topo::PagePlacement placement;
+
+  friend std::ostream& operator<<(std::ostream& os, const BaselineCase& c) {
+    return os << "t" << c.threads << "_b" << c.block.bx << "x" << c.block.by
+              << "x" << c.block.bz << (c.nontemporal ? "_nt_" : "_cached_")
+              << topo::to_string(c.placement);
+  }
 };
 
 class BaselineSweep : public ::testing::TestWithParam<BaselineCase> {};

@@ -2,6 +2,8 @@
 // engine (generality of the scheme beyond constant-coefficient Jacobi).
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "core/norms.hpp"
 #include "core/pipeline.hpp"
 
@@ -62,6 +64,11 @@ TEST(VarCoef, UniformKappaReducesToJacobi) {
 struct VcCase {
   int teams, t, T;
   SyncMode sync;
+
+  friend std::ostream& operator<<(std::ostream& os, const VcCase& c) {
+    return os << "n" << c.teams << "t" << c.t << "T" << c.T << "_"
+              << to_string(c.sync);
+  }
 };
 
 class VarCoefEquivalence : public ::testing::TestWithParam<VcCase> {};

@@ -2,6 +2,8 @@
 // plan of the pipelined solver, and the capacity model behind it.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "support/grid_test_utils.hpp"
 #include "core/registry.hpp"
 #include "perfmodel/wavefront_model.hpp"
@@ -17,6 +19,12 @@ struct WaveCase {
   int extra_steps;  ///< levels past the whole sweeps: remainder sweeps
   std::array<int, 3> grid;
   int sweeps;
+
+  friend std::ostream& operator<<(std::ostream& os, const WaveCase& c) {
+    return os << "t" << c.threads << "_g" << c.grid[0] << "x" << c.grid[1]
+              << "x" << c.grid[2] << "_s" << c.sweeps << "_extra"
+              << c.extra_steps;
+  }
 };
 
 class Wavefront : public ::testing::TestWithParam<WaveCase> {};
@@ -43,6 +51,16 @@ INSTANTIATE_TEST_SUITE_P(
                       // interior planes): heavy clipping, remainder 4.
                       WaveCase{6, 4, {10, 10, 6}, 2},
                       WaveCase{2, 100, {12, 12, 12}, 2}));
+
+TEST(Wavefront, ConfigReportsThePlanThatRuns) {
+  SolverConfig cfg;
+  cfg.wavefront.threads = 4;
+  const StencilSolver solver =
+      make_solver("wavefront", "jacobi", cfg, make_initial(14, 12, 10));
+  EXPECT_EQ(solver.config().pipeline.describe(),
+            wavefront_plan(cfg.wavefront, 14, 12).describe());
+  EXPECT_EQ(solver.config().variant, Variant::kWavefront);
+}
 
 TEST(Wavefront, RejectsBadConfig) {
   SolverConfig cfg;

@@ -75,9 +75,9 @@ TEST(DistRegistry, EveryOperatorRunsDecomposedBitIdentically) {
 }
 
 TEST(DistRegistry, AaStoragePolicyIsRejectedWithAnExplanation) {
-  // The AA stream step pushes INTO the ghost ring; the read-only
-  // state-fields halo cannot transport that back, so both the name and
-  // the window refuse it loudly instead of silently running two-lattice.
+  // The AA stream step pushes INTO the ghost ring; the ghost exchange
+  // cannot transport that back, so the name is refused loudly instead of
+  // silently running two-lattice.
   const core::Grid3 initial = make_initial(12);
   DistConfig cfg;
   cfg.pipeline.team_size = 1;
@@ -97,9 +97,9 @@ TEST(DistRegistry, AaStoragePolicyIsRejectedWithAnExplanation) {
 }
 
 TEST(DistRegistry, LbmConstructsAndExposesItsStateFields) {
-  // The state-fields contract makes "dist:lbm" constructible like every
-  // other registered name: with the default lid-driven cavity geometry no
-  // aux grid is needed at all (exactly like the shared-memory facade).
+  // "dist:lbm" is constructible like every other registered name: with
+  // the default lid-driven cavity geometry no aux grid is needed at all
+  // (exactly like the shared-memory facade).
   core::Grid3 initial(12, 12, 12);
   initial.fill(1.0);
   DistConfig cfg;

@@ -50,7 +50,7 @@ TEST_P(Decomposition, BitIdenticalToReference) {
   const int epochs = 3;
 
   core::Grid3 result = initial.clone();
-  run_distributed(ranks, cfg, initial, epochs, &result);
+  run_distributed_named("jacobi", ranks, cfg, initial, epochs, &result);
   const int steps = epochs * cfg.pipeline.levels_per_sweep();
   tb::test::expect_grids_bitwise_equal(result, reference_result(initial, steps));
 }
@@ -101,8 +101,8 @@ TEST_P(VarCoefDecomposition, BitIdenticalToReference) {
   const int epochs = 3;
 
   core::Grid3 result = initial.clone();
-  run_distributed<core::VarCoefOp>(ranks, cfg, initial, epochs, &result,
-                                   &kappa);
+  run_distributed_named("varcoef", ranks, cfg, initial, epochs, &result,
+                        &kappa);
 
   const int steps = epochs * cfg.pipeline.levels_per_sweep();
   const core::DiffusionCoefficients coeffs(kappa);
@@ -263,8 +263,8 @@ TEST(Distributed, VarCoefWithoutKappaThrows) {
   simnet::World world(1);
   DistConfig cfg;
   EXPECT_THROW(world.run([&](simnet::Comm& comm) {
-                 DistributedStencil<core::VarCoefOp> solver(comm, cfg,
-                                                            initial);
+                 DistributedStencil solver(core::Operator::kVarCoef, comm,
+                                           cfg, initial);
                }),
                std::invalid_argument);
 }
@@ -276,7 +276,7 @@ TEST(Distributed, GatherReassemblesOwnedCells) {
   simnet::World world(4);
   core::Grid3 out = initial.clone();
   world.run([&](simnet::Comm& comm) {
-    DistributedStencil<core::JacobiOp> solver(comm, cfg, initial);
+    DistributedStencil solver(core::Operator::kJacobi, comm, cfg, initial);
     solver.gather(comm.rank() == 0 ? &out : nullptr);
   });
   // No epochs advanced: the gathered grid must be the initial state.
@@ -290,7 +290,7 @@ TEST(Distributed, AdvanceReportsLevelsAndVolume) {
   cfg.pipeline.team_size = 2;  // h = 2
   simnet::World world(2);
   world.run([&](simnet::Comm& comm) {
-    DistributedStencil<core::JacobiOp> solver(comm, cfg, initial);
+    DistributedStencil solver(core::Operator::kJacobi, comm, cfg, initial);
     const DistStats st = solver.advance(3);
     EXPECT_EQ(st.levels, 6);
     // One neighbour, one face message per epoch.
@@ -307,7 +307,7 @@ TEST(Distributed, UnevenPartitionBitIdentical) {
   cfg.proc_dims = {2, 2, 1};
   cfg.pipeline.team_size = 2;  // h = 2
   core::Grid3 result = initial.clone();
-  run_distributed(4, cfg, initial, 2, &result);
+  run_distributed_named("jacobi", 4, cfg, initial, 2, &result);
   tb::test::expect_grids_bitwise_equal(result, reference_result(initial, 4));
 }
 
@@ -318,7 +318,8 @@ TEST(Distributed, RejectsBadGeometry) {
   cfg.proc_dims = {2, 2, 2};
   cfg.pipeline.team_size = 8;  // h = 8 > 4 owned cells per rank
   EXPECT_THROW(world.run([&](simnet::Comm& comm) {
-                 DistributedStencil<core::JacobiOp> solver(comm, cfg, initial);
+                 DistributedStencil solver(core::Operator::kJacobi, comm,
+                                           cfg, initial);
                }),
                std::invalid_argument);
 }
@@ -334,7 +335,8 @@ TEST(Distributed, RejectsThinUnevenPartitionOnEveryRank) {
   cfg.proc_dims = {2, 1, 1};
   cfg.pipeline.team_size = 4;  // h = 4
   EXPECT_THROW(world.run([&](simnet::Comm& comm) {
-                 DistributedStencil<core::JacobiOp> solver(comm, cfg, initial);
+                 DistributedStencil solver(core::Operator::kJacobi, comm,
+                                           cfg, initial);
                  solver.advance(1);  // deadlocks here if ranks disagree
                }),
                std::invalid_argument);

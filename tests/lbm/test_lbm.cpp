@@ -412,28 +412,6 @@ TEST(LbmAa, InitialDecodeMatchesTheTwoLatticeInit) {
   EXPECT_EQ(aa.current(0).max_abs_diff(two.current(0)), 0.0);
 }
 
-TEST(LbmAa, StateFieldsWindowRejectsThePolicy) {
-  // The distributed state-fields halo is read-only; the AA stream step
-  // pushes into the ghost ring, so the window must refuse the policy
-  // instead of silently running two-lattice.
-  core::StateWindowSpec spec;
-  spec.global_n = {8, 8, 8};
-  spec.origin = {0, 0, 0};
-  spec.local_n = {8, 8, 8};
-  core::Grid3 local(8, 8, 8);
-  local.fill(1.0);
-  core::StateFieldsTraits<LbmOp>::Params params;
-  params.storage = LbmStorage::kAA;
-  try {
-    core::StateFieldsTraits<LbmOp>::Window w(spec, local, nullptr, params);
-    FAIL() << "AA window must not construct";
-  } catch (const std::invalid_argument& err) {
-    EXPECT_NE(std::string(err.what()).find("shared-memory"),
-              std::string::npos)
-        << err.what();
-  }
-}
-
 // ---- geometry-aware throughput accounting ------------------------------
 
 TEST(Lbm, FluidInteriorCountsExcludeSolidCells) {

@@ -1,12 +1,17 @@
 // Unit tests for the topology substrate.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <vector>
 
 #include "topo/machine.hpp"
 #include "topo/placement.hpp"
 
 namespace tb::topo {
+
+// Names each AllPolicies case by its policy instead of a byte dump.
+inline void PrintTo(PagePlacement p, std::ostream* os) { *os << to_string(p); }
+
 namespace {
 
 TEST(MachineSpec, NehalemValuesMatchPaper) {

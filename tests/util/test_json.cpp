@@ -95,6 +95,23 @@ TEST(Json, RejectsTrailingGarbageAndPartialLiterals) {
   EXPECT_THROW((void)parse("\"unterminated"), std::runtime_error);
 }
 
+TEST(Json, NestingDepthIsBounded) {
+  // 256 open levels parse; the 257th fails at its own bracket with the
+  // usual file:line:col message instead of overflowing the stack.
+  EXPECT_NO_THROW(
+      (void)parse(std::string(256, '[') + std::string(256, ']')));
+  try {
+    (void)parse(std::string(100000, '['), "deep.json");
+    FAIL() << "100000 nested arrays must throw";
+  } catch (const std::runtime_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("deep.json:1:257: nesting deeper than 256"),
+              std::string::npos)
+        << msg;
+  }
+  EXPECT_THROW((void)parse(std::string(300, '{')), std::runtime_error);
+}
+
 TEST(Json, ParseFileMissingThrows) {
   EXPECT_THROW((void)parse_file("/nonexistent/scenario.json"),
                std::runtime_error);
