@@ -147,14 +147,18 @@ void host_stream(const Opts&) {
       "=== Host STREAM COPY (this machine, %d hardware threads, %.0f MiB "
       "LLC) ===\n(re-parameterizes the model on real hardware)\n\n",
       threads, static_cast<double>(llc) / (1 << 20));
-  util::TableWriter t({"measurement", "GB/s"});
-  t.add("Ms,1 (1 thread, NT stores)",
-        perfmodel::measure_ms1(llc).bytes_per_second / 1e9);
-  t.add("Ms (all threads, NT stores)",
-        perfmodel::measure_ms(threads, llc).bytes_per_second / 1e9);
-  t.add("Mc (cache-resident copy)",
-        perfmodel::measure_mc(threads, llc).bytes_per_second / 1e9);
+  util::TableWriter t({"measurement", "GB/s", "spread %"});
+  auto row = [&](const char* what, const perfmodel::BandwidthResult& r) {
+    t.add(what, r.bytes_per_second / 1e9, 100.0 * r.relative_spread);
+  };
+  row("Ms,1 (1 thread, NT stores)", perfmodel::measure_ms1(llc));
+  row("Ms (all threads, NT stores)", perfmodel::measure_ms(threads, llc));
+  row("Mc (cache-resident copy, median)",
+      perfmodel::measure_mc(threads, llc));
   t.print();
+  std::printf(
+      "(spread: interquartile range of the repetitions over their median; "
+      "Ms and Ms,1 report the best repetition)\n");
 }
 
 // ---- fig3-left: socket & node, standard vs pipelined ---------------------

@@ -11,13 +11,15 @@
 // and the center temperature.  With --scenario the flags are ignored and
 // the whole JSON case batch runs through the scenario engine instead.
 #include <cstdio>
+#include <stdexcept>
 
 #include "core/registry.hpp"
 #include "scenario/scenario_engine.hpp"
 #include "util/args.hpp"
 
-int main(int argc, char** argv) {
-  const tb::util::Args args(argc, argv);
+namespace {
+
+int run(const tb::util::Args& args) {
   tb::util::StandardFlags flags;
   flags.n = 128;
   flags.steps = 64;
@@ -67,4 +69,15 @@ int main(int argc, char** argv) {
   std::printf("center value   : %.6f\n", u.at(n / 2, n / 2, n / 2));
   std::printf("near-hot value : %.6f\n", u.at(1, n / 2, n / 2));
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(tb::util::Args(argc, argv));
+  } catch (const std::invalid_argument& err) {  // a bad flag value
+    std::fprintf(stderr, "quickstart: %s\n", err.what());
+    return 2;
+  }
 }

@@ -41,6 +41,10 @@ class PipelineEngine {
   [[nodiscard]] const BlockPlan& plan() const { return plan_; }
   [[nodiscard]] const PipelineConfig& config() const { return cfg_; }
 
+  /// The n*t sweep threads.  Between sweeps StencilSolver runs its
+  /// level-0 fills on them, so a blocked solver owns one team.
+  [[nodiscard]] util::ThreadPool& pool() { return pool_; }
+
  private:
   void sweep_relaxed(bool forward, const ProcessFn& process);
   void sweep_barrier(bool forward, const ProcessFn& process);

@@ -118,6 +118,9 @@ class PipelinedSolver {
     return engine_.config();
   }
 
+  /// The sweep team (PipelineEngine::pool).
+  [[nodiscard]] util::ThreadPool& pool() { return engine_.pool(); }
+
  private:
   Op op_;
   PipelineEngine engine_;

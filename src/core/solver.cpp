@@ -15,23 +15,6 @@ namespace tb::core {
 
 namespace {
 
-/// Level-0 carrier write: each row of `initial` is written into `a`,
-/// then copied into `b` (the boundary values must exist in both
-/// parities), over k-slabs of `team` (null: the calling thread) — so a
-/// computed source is also evaluated on the team.
-void fill_carriers(util::ThreadPool* team, const GridSource& initial,
-                   Grid3& a, Grid3& b) {
-  const std::size_t row_bytes =
-      static_cast<std::size_t>(a.nx()) * sizeof(double);
-  util::for_each_slab(team, 0, a.nz(), [&](int, int lo, int hi) {
-    for (int k = lo; k < hi; ++k)
-      for (int j = 0; j < a.ny(); ++j) {
-        initial.fill_row(j, k, a.row(j, k));
-        std::memcpy(b.row(j, k), a.row(j, k), row_bytes);
-      }
-  });
-}
-
 /// Calls `fn` with the source's data as a grid: the wrapped grid, or a
 /// materialized copy of a computed source.
 template <class Fn>
@@ -192,26 +175,28 @@ struct StencilSolver::OpImpl final : StencilSolver::Impl {
         nx_(initial.nx()),
         ny_(initial.ny()),
         nz_(initial.nz()),
-        a_(nx_, ny_, nz_),
-        b_(nx_, ny_, nz_) {
+        a_(nx_, ny_, nz_) {
     // The wavefront is a fixed plan of the pipelined two-grid solver;
     // from here on it shares the pipelined construction and advance path.
     if (cfg.variant == Variant::kWavefront)
       cfg_.pipeline = wavefront_plan(cfg.wavefront, nx_, ny_);
     const bool blocked = cfg.variant == Variant::kPipelined ||
                          cfg.variant == Variant::kWavefront;
+    const bool compressed =
+        blocked && cfg_.pipeline.scheme == GridScheme::kCompressed;
 
     // Establish page placement before the first write of actual data.
     // The temporally blocked variants defeat first-touch locality (every
     // thread sweeps through every block or plane), so they use
     // round-robin interleaving; the baseline keeps classic first-touch
-    // (Sec. 1.3).
-    const topo::PagePlacement placement =
+    // (Sec. 1.3).  The compressed scheme sweeps its own array and needs
+    // b_ only for remainder sweeps, so b_ waits for the first of those.
+    placement_ =
         blocked ? topo::PagePlacement::kRoundRobin : cfg.baseline.placement;
-    const int touch_threads =
+    touch_threads_ =
         blocked ? cfg_.pipeline.total_threads() : cfg.baseline.threads;
-    topo::touch_pages(a_.data(), a_.size(), placement, touch_threads);
-    topo::touch_pages(b_.data(), b_.size(), placement, touch_threads);
+    topo::touch_pages(a_.data(), a_.size(), placement_, touch_threads_);
+    if (!compressed) allocate_b();
 
     const Op op = state_.make();
     switch (cfg.variant) {
@@ -222,12 +207,14 @@ struct StencilSolver::OpImpl final : StencilSolver::Impl {
                                                          ny_, nz_, op);
         break;
       case Variant::kPipelined:
-      case Variant::kWavefront: {
+      case Variant::kWavefront:
+        // Remainder steps (not a multiple of n*t*T) run as baseline
+        // sweeps on a solver built by the first of them.
         cfg_.pipeline.validate();
         if (windowed_) {
           pipelined_ = std::make_unique<PipelinedSolver<Op>>(
               cfg_.pipeline, window->clips, op);
-        } else if (cfg_.pipeline.scheme == GridScheme::kTwoGrid) {
+        } else if (!compressed) {
           pipelined_ = std::make_unique<PipelinedSolver<Op>>(cfg_.pipeline,
                                                              nx_, ny_, nz_,
                                                              op);
@@ -236,18 +223,11 @@ struct StencilSolver::OpImpl final : StencilSolver::Impl {
                                                                nx_, ny_,
                                                                nz_, op);
         }
-        // Remainder steps (not a multiple of n*t*T) run as baseline
-        // sweeps.
-        BaselineConfig rem = cfg.baseline;
-        rem.threads = cfg_.pipeline.total_threads();
-        baseline_ = std::make_unique<BaselineSolver<Op>>(rem, nx_, ny_, nz_,
-                                                         op);
         break;
-      }
     }
-    // The level-0 fill runs once the team exists, on the team: both
+    // The level-0 fill runs once the team exists, on the team: the
     // carriers, then the operator state (lbm lattices and masks) from a_.
-    fill_carriers(team(), initial, a_, b_);
+    fill_level0(initial);
     state_.reset(cfg_, a_, nullptr, team());
     // Static facts about the operator's working set (lbm geometry row
     // classification, prefetch path) go to the registry once — not per
@@ -313,12 +293,13 @@ struct StencilSolver::OpImpl final : StencilSolver::Impl {
     state_.stage(cfg_, aux);
     // The same fill as construction.  The pages are already mapped, so
     // the placement established at construction is untouched.
-    fill_carriers(team(), initial, a_, b_);
+    fill_level0(initial);
     state_.reset(cfg_, a_, aux, team());
   }
 
   /// The current level lives in a_ by invariant: every path below swaps
-  /// the grids back when it ends on an odd parity.
+  /// the grids back when it ends on an odd parity, and the compressed
+  /// scheme stores its final level there.
   [[nodiscard]] const Grid3& solution() const override { return a_; }
 
   [[nodiscard]] const lbm::LbmState* lbm_state() const override {
@@ -328,17 +309,47 @@ struct StencilSolver::OpImpl final : StencilSolver::Impl {
   [[nodiscard]] const SolverConfig& config() const override { return cfg_; }
 
   [[nodiscard]] std::vector<Grid3*> level_grids(int level) override {
+    store_current_ = false;  // the caller may write a_
     std::vector<Grid3*> grids{&a_};
     state_.add_fields(level, grids);
     return grids;
   }
 
  private:
-  /// The thread team of the level-0 fills: the baseline pool every
-  /// non-reference variant owns (its remainder sweeps run there too);
-  /// the reference variant fills on the calling thread.
+  /// The thread team of the level-0 fills: the one every non-reference
+  /// variant sweeps on (the blocked variants' engine pool, the
+  /// baseline's pool); the reference variant fills on the calling thread.
   [[nodiscard]] util::ThreadPool* team() {
+    if (pipelined_) return &pipelined_->pool();
+    if (compressed_) return &compressed_->pool();
     return baseline_ ? &baseline_->pool() : nullptr;
+  }
+
+  void allocate_b() {
+    b_ = Grid3(nx_, ny_, nz_);
+    topo::touch_pages(b_.data(), b_.size(), placement_, touch_threads_);
+  }
+
+  /// Writes level 0 row by row into a_ and copies each row to where the
+  /// scheme sweeps from next: b_ (the boundary values must exist in both
+  /// parities) or the compressed array's data window.  Runs over k-slabs
+  /// of the team, so a computed source is evaluated there too.
+  void fill_level0(const GridSource& initial) {
+    if (compressed_) compressed_->rewind();
+    const std::size_t row_bytes =
+        static_cast<std::size_t>(nx_) * sizeof(double);
+    util::for_each_slab(team(), 0, nz_, [&](int, int lo, int hi) {
+      for (int k = lo; k < hi; ++k)
+        for (int j = 0; j < ny_; ++j) {
+          double* row = a_.row(j, k);
+          initial.fill_row(j, k, row);
+          std::memcpy(compressed_ ? compressed_->window_row(j, k)
+                                  : b_.row(j, k),
+                      row, row_bytes);
+        }
+    });
+    store_current_ = true;
+    b_synced_ = !compressed_;
   }
 
   static void accumulate(RunStats& total, const RunStats& st) {
@@ -353,19 +364,41 @@ struct StencilSolver::OpImpl final : StencilSolver::Impl {
   /// the LevelOrigin turns them back into absolute levels for
   /// time-dependent operators.
   RunStats advance_baseline_steps(int steps, int base) {
+    if (!baseline_) {
+      BaselineConfig rem = cfg_.baseline;
+      rem.threads = cfg_.pipeline.total_threads();
+      baseline_ = std::make_unique<BaselineSolver<Op>>(rem, nx_, ny_, nz_,
+                                                       state_.make());
+    }
+    if (b_.size() == 0) allocate_b();
+    if (!b_synced_) {
+      // b_ needs the Dirichlet boundary, which every level of a_ holds.
+      util::for_each_slab(team(), 0, nz_, [&](int, int lo, int hi) {
+        std::memcpy(b_.data() + b_.stride_z() * lo,
+                    a_.data() + a_.stride_z() * lo,
+                    a_.stride_z() * static_cast<std::size_t>(hi - lo) *
+                        sizeof(double));
+      });
+      b_synced_ = true;
+    }
     state_.set_level_base(base);
     RunStats st = baseline_->run(a_, b_, steps, 0);
     if (steps % 2 != 0) std::swap(a_, b_);
+    store_current_ = false;
     return st;
   }
 
-  /// Whole team sweeps of the configured temporally blocked scheme.
+  /// Whole team sweeps of the configured temporally blocked scheme.  The
+  /// compressed array keeps the current level between advances; it is
+  /// reloaded from a_ only after a remainder phase (or a write through
+  /// level_grids) has left it stale.
   RunStats advance_blocked_sweeps(int sweeps, int base) {
     state_.set_level_base(base);
     if (compressed_) {
-      compressed_->load(a_, team());
+      if (!store_current_) compressed_->load(a_, team());
       RunStats st = compressed_->run(sweeps);
       compressed_->store(a_, team());
+      store_current_ = true;
       return st;
     }
     RunStats st = pipelined_->run(a_, b_, sweeps, 0);
@@ -378,7 +411,12 @@ struct StencilSolver::OpImpl final : StencilSolver::Impl {
   bool windowed_;
   OpState<Op> state_;
   int nx_, ny_, nz_;
-  Grid3 a_, b_;
+  topo::PagePlacement placement_ = topo::PagePlacement::kRoundRobin;
+  int touch_threads_ = 1;  ///< placement_ and touch_threads_ also place b_
+  Grid3 a_;
+  Grid3 b_;  ///< empty for the compressed scheme until a remainder phase
+  bool store_current_ = true;  ///< the compressed array holds a_'s level
+  bool b_synced_ = true;       ///< b_ holds the current boundary values
 
   std::unique_ptr<BaselineSolver<Op>> baseline_;
   std::unique_ptr<PipelinedSolver<Op>> pipelined_;

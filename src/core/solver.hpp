@@ -178,7 +178,10 @@ class StencilSolver {
   /// For the temporally blocked variants, whole team sweeps are used for
   /// floor(steps / depth) * depth levels and the remainder falls back to
   /// baseline sweeps (a real code must produce exactly the requested
-  /// number of levels, not a convenient multiple).
+  /// number of levels, not a convenient multiple).  The first remainder
+  /// builds the baseline team, and for the compressed scheme the second
+  /// carrier; a solver that never needs one owns one team and, if
+  /// compressed, one carrier plus its (n+S)^3 array.
   RunStats advance(int steps);
 
   /// Rewinds the solver to level 0 with new initial data, reusing every

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "core/kernels.hpp"
 #include "util/aligned_buffer.hpp"
@@ -34,18 +36,26 @@ void copy_range(double* __restrict__ dst, const double* __restrict__ src,
   for (std::size_t i = 0; i < n; ++i) dst[i] = src[i];
 }
 
-}  // namespace
+struct CopyRuns {
+  std::vector<double> seconds;  ///< wall time of each repetition
+  std::size_t bytes = 0;        ///< bytes one repetition moves
+};
 
-BandwidthResult stream_copy(std::size_t elems, int threads, bool nontemporal,
-                            int repetitions) {
+/// `repetitions` timed dispatches, each copying every worker's slice
+/// `passes` times.
+CopyRuns timed_copies(std::size_t elems, int threads, bool nontemporal,
+                      int repetitions, int passes) {
   threads = std::max(1, threads);
   util::AlignedBuffer<double> a(elems), b(elems);
   util::ThreadPool pool(threads);
+  auto slice = [&](int w) {
+    return std::pair{elems * static_cast<std::size_t>(w) / threads,
+                     elems * static_cast<std::size_t>(w + 1) / threads};
+  };
 
   // First-touch initialization with the same partition as the copy loop.
   pool.run([&](int w) {
-    const std::size_t lo = elems * static_cast<std::size_t>(w) / threads;
-    const std::size_t hi = elems * static_cast<std::size_t>(w + 1) / threads;
+    const auto [lo, hi] = slice(w);
     for (std::size_t i = lo; i < hi; ++i) {
       a[i] = static_cast<double>(i);
       b[i] = 0.0;
@@ -53,27 +63,54 @@ BandwidthResult stream_copy(std::size_t elems, int threads, bool nontemporal,
   });
 
   const bool nt = nontemporal && tb::core::nontemporal_supported();
-  double best = 1e300;
+  CopyRuns runs;
   for (int r = 0; r < repetitions; ++r) {
     util::Timer t;
     pool.run([&](int w) {
-      const std::size_t lo = elems * static_cast<std::size_t>(w) / threads;
-      const std::size_t hi =
-          elems * static_cast<std::size_t>(w + 1) / threads;
-      copy_range(b.data() + lo, a.data() + lo, hi - lo, nt);
+      const auto [lo, hi] = slice(w);
+      for (int p = 0; p < passes; ++p)
+        copy_range(b.data() + lo, a.data() + lo, hi - lo, nt);
     });
-    best = std::min(best, t.elapsed());
+    runs.seconds.push_back(t.elapsed());
   }
-
-  BandwidthResult res;
   // 8B load + 8B store, plus 8B write-allocate unless streaming stores.
   const double bytes_per_elem = nt ? 16.0 : 24.0;
-  res.bytes = static_cast<std::size_t>(bytes_per_elem *
-                                       static_cast<double>(elems));
-  res.seconds = best;
-  res.bytes_per_second = best > 0 ? static_cast<double>(res.bytes) / best
-                                  : 0.0;
+  runs.bytes = static_cast<std::size_t>(bytes_per_elem *
+                                        static_cast<double>(elems) * passes);
+  return runs;
+}
+
+/// The repetition at `pick` (0 = fastest, 0.5 = median) of the sorted
+/// times, with the interquartile spread of the bandwidths.
+BandwidthResult summarize(CopyRuns runs, double pick) {
+  std::vector<double>& s = runs.seconds;
+  std::sort(s.begin(), s.end());
+  auto at = [&](double q) {
+    return s[static_cast<std::size_t>(q * static_cast<double>(s.size() - 1) +
+                                      0.5)];
+  };
+  auto rate = [&](double seconds) {
+    return seconds > 0 ? static_cast<double>(runs.bytes) / seconds : 0.0;
+  };
+  BandwidthResult res;
+  res.bytes = runs.bytes;
+  res.seconds = at(pick);
+  res.bytes_per_second = rate(res.seconds);
+  const double median = rate(at(0.5));
+  // Shorter time = higher bandwidth: the first quartile of the times is
+  // the third of the bandwidths.
+  res.relative_spread =
+      median > 0 ? (rate(at(0.25)) - rate(at(0.75))) / median : 0.0;
   return res;
+}
+
+}  // namespace
+
+BandwidthResult stream_copy(std::size_t elems, int threads, bool nontemporal,
+                            int repetitions) {
+  return summarize(timed_copies(elems, threads, nontemporal,
+                                std::max(1, repetitions), 1),
+                   0.0);
 }
 
 BandwidthResult measure_ms(int threads, std::size_t llc_bytes) {
@@ -89,7 +126,9 @@ BandwidthResult measure_ms1(std::size_t llc_bytes) {
 BandwidthResult measure_mc(int threads, std::size_t llc_bytes) {
   // Working set ~1/4 of the LLC: both arrays resident in the shared cache.
   const std::size_t elems = llc_bytes / 4 / sizeof(double) / 2;
-  return stream_copy(elems, threads, /*nontemporal=*/false, 20);
+  return summarize(timed_copies(elems, threads, /*nontemporal=*/false,
+                                /*repetitions=*/15, /*passes=*/8),
+                   0.5);
 }
 
 }  // namespace tb::perfmodel

@@ -18,21 +18,29 @@ namespace tb::perfmodel {
 /// Result of a bandwidth measurement.
 struct BandwidthResult {
   double bytes_per_second = 0.0;
-  double seconds = 0.0;      ///< best-repetition wall time
+  double seconds = 0.0;      ///< wall time of the reported repetition
   std::size_t bytes = 0;     ///< bytes moved per repetition (read+write)
+  /// Interquartile range of the per-repetition bandwidths over their
+  /// median: how far one repetition is from the next.
+  double relative_spread = 0.0;
 };
 
 /// STREAM COPY (b[i] = a[i]) with `threads` workers over `elems` doubles
-/// per array.  `nontemporal` selects streaming stores (avoids the
-/// read-for-ownership, matching how Ms is defined in the paper).
-/// The reported bandwidth counts 16 bytes per element with non-temporal
-/// stores and 24 bytes per element otherwise (write-allocate traffic).
+/// per array, best of `repetitions`.  `nontemporal` selects streaming
+/// stores (avoids the read-for-ownership, matching how Ms is defined in
+/// the paper).  The reported bandwidth counts 16 bytes per element with
+/// non-temporal stores and 24 bytes per element otherwise (write-allocate
+/// traffic).
 [[nodiscard]] BandwidthResult stream_copy(std::size_t elems, int threads,
                                           bool nontemporal,
                                           int repetitions = 5);
 
 /// Convenience wrappers for the model's three parameters, choosing working
-/// set sizes relative to the given last-level cache size.
+/// set sizes relative to the given last-level cache size.  Mc is the
+/// median of repetitions that each copy the cache-resident arrays several
+/// times in one dispatch: a single copy there lasts about as long as the
+/// dispatch itself, so a best-of reading follows the scheduler, not the
+/// cache.
 [[nodiscard]] BandwidthResult measure_ms(int threads,
                                          std::size_t llc_bytes);
 [[nodiscard]] BandwidthResult measure_ms1(std::size_t llc_bytes);

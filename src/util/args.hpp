@@ -2,9 +2,12 @@
 //
 // Supports `--name value` and `--name=value` forms plus boolean switches.
 // Every flag is stored as given: a flag no accessor asks for is silently
-// ignored, and nothing reports it.
+// ignored, and nothing reports it.  A number flag must be a number as a
+// whole ("12abc" is not 12); the typed accessors throw
+// std::invalid_argument naming the flag otherwise.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -51,13 +54,13 @@ class Args {
                                      std::int64_t def) const {
     const auto it = kv_.find(key);
     if (it == kv_.end()) return def;
-    return std::stoll(it->second);
+    return parse_number<std::int64_t>(key, it->second, "an integer");
   }
 
   [[nodiscard]] double get_double(const std::string& key, double def) const {
     const auto it = kv_.find(key);
     if (it == kv_.end()) return def;
-    return std::stod(it->second);
+    return parse_number<double>(key, it->second, "a number");
   }
 
   [[nodiscard]] bool get_bool(const std::string& key, bool def) const {
@@ -92,7 +95,8 @@ class Args {
     std::vector<std::int64_t> out;
     std::stringstream ss(it->second);
     std::string item;
-    while (std::getline(ss, item, ',')) out.push_back(std::stoll(item));
+    while (std::getline(ss, item, ','))
+      out.push_back(parse_number<std::int64_t>(key, item, "an integer"));
     return out;
   }
 
@@ -101,6 +105,20 @@ class Args {
   }
 
  private:
+  /// The whole of `text` as a T, or std::invalid_argument naming --key.
+  template <class T>
+  [[nodiscard]] static T parse_number(const std::string& key,
+                                      const std::string& text,
+                                      const char* what) {
+    T value{};
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc() || ptr != end)
+      throw std::invalid_argument("--" + key + "=" + text + " is not " +
+                                  what);
+    return value;
+  }
+
   std::map<std::string, std::string> kv_;
   std::vector<std::string> positional_;
 };

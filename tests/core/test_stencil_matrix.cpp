@@ -10,12 +10,15 @@
 #include <gtest/gtest.h>
 
 #include <ostream>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/registry.hpp"
 #include "core/stencil_op.hpp"
 #include "lbm/stencil_op.hpp"
 #include "support/grid_test_utils.hpp"
+#include "util/aligned_buffer.hpp"
 
 namespace tb::core {
 namespace {
@@ -338,6 +341,143 @@ TEST(StencilFacade, CompressedVarCoefMatchesTwoGridVarCoef) {
   two.advance(steps);
   comp.advance(steps);
   EXPECT_EQ(max_abs_diff(two.solution(), comp.solution()), 0.0);
+}
+
+// ---- the compressed facade across advance interleavings ---------------
+
+// The compressed facade keeps the current level in its array between
+// advances and reloads it from the carrier only after a remainder phase,
+// so a time-dependent operator's level must come from the facade's
+// absolute count, not from the array's history.  Each advance is checked
+// against the reference at that level; "reset" rewinds to a different
+// level-0 field, which must leave nothing of the old run behind.
+struct InterleaveCase {
+  std::string op;
+  std::vector<int> advances;  ///< step counts; 0 = reset to `other`
+
+  friend std::ostream& operator<<(std::ostream& os, const InterleaveCase& c) {
+    os << c.op;
+    for (int s : c.advances) {
+      if (s == 0)
+        os << "_reset";
+      else
+        os << "_" << s;
+    }
+    return os;
+  }
+};
+
+class CompressedInterleaving
+    : public ::testing::TestWithParam<InterleaveCase> {};
+
+TEST_P(CompressedInterleaving, EveryLevelMatchesReference) {
+  const InterleaveCase c = GetParam();
+  const int nx = 13, ny = 17, nz = 11;
+  const Grid3 initial = make_initial(nx, ny, nz);
+  Grid3 other(nx, ny, nz);
+  fill_test_pattern(other, 0.5);  // a different level 0, boundary included
+  const Grid3 kappa = make_kappa(nx, ny, nz);
+
+  // An odd S: a level count carried over from an earlier advance would
+  // flip the color / lattice parity instead of hiding in a multiple of 2.
+  SolverConfig cfg;
+  cfg.baseline.block = {6, 5, 4};
+  cfg.pipeline.teams = 1;
+  cfg.pipeline.team_size = 3;
+  cfg.pipeline.steps_per_thread = 1;  // S = 3
+  cfg.pipeline.block = {6, 5, 4};
+  StencilSolver solver =
+      make_solver("compressed", c.op, cfg, initial, &kappa);
+  const Grid3* level0 = &initial;
+  for (int steps : c.advances) {
+    if (steps == 0) {
+      solver.reset(other);
+      level0 = &other;
+    } else {
+      solver.advance(steps);
+    }
+    ASSERT_EQ(max_abs_diff(solver.solution(),
+                           reference_result_op(c.op, *level0, kappa,
+                                               solver.levels_done())),
+              0.0)
+        << c << " at level " << solver.levels_done();
+  }
+}
+
+std::vector<InterleaveCase> interleavings() {
+  std::vector<InterleaveCase> cases;
+  for (const char* op : {"jacobi", "redblack", "varcoef", "lbm"})
+    for (std::vector<int> a : std::vector<std::vector<int>>{
+             {3, 3},              // two sweeps, no reload between them
+             {3, 1, 3},           // sweep, odd remainder, sweep
+             {3, 2, 3},
+             {3, 5, 6},           // sweep + remainder in one advance
+             {3, 0, 3, 3},        // reset after a sweep
+             {3, 2, 0, 3, 1, 3},  // reset after a remainder
+         })
+      cases.push_back({op, std::move(a)});
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Advances, CompressedInterleaving, ::testing::ValuesIn(interleavings()),
+    [](const ::testing::TestParamInfo<InterleaveCase>& info) {
+      std::ostringstream os;
+      os << info.param;
+      return os.str();
+    });
+
+TEST(CompressedFootprint, OneCarrierPlusTheArrayUntilARemainder) {
+  const int n = 24;
+  const Grid3 initial = make_initial(n);
+  SolverConfig cfg;
+  ASSERT_TRUE(apply_variant(cfg, "compressed"));
+  cfg.pipeline.teams = 1;
+  cfg.pipeline.team_size = 2;
+  cfg.pipeline.steps_per_thread = 2;  // S = 4
+  cfg.pipeline.block = {8, 6, 6};
+  const std::size_t grid_bytes = Grid3(n, n, n).size() * sizeof(double);
+  const std::size_t array_bytes =
+      CompressedSolver<JacobiOp>(cfg.pipeline, n, n, n).storage_bytes();
+
+  const std::uint64_t before = util::buffer_bytes_in_use();
+  StencilSolver solver(cfg, initial);
+  EXPECT_EQ(util::buffer_bytes_in_use() - before, grid_bytes + array_bytes);
+  solver.advance(8);  // whole sweeps: no second carrier
+  EXPECT_EQ(util::buffer_bytes_in_use() - before, grid_bytes + array_bytes);
+  solver.advance(5);  // one sweep + one remainder level
+  EXPECT_EQ(util::buffer_bytes_in_use() - before,
+            2 * grid_bytes + array_bytes);
+  // Reuse allocates nothing, remainder carrier included.
+  const std::uint64_t allocs = util::buffer_alloc_count();
+  solver.reset(initial);
+  solver.advance(7);
+  EXPECT_EQ(util::buffer_alloc_count(), allocs);
+  EXPECT_EQ(max_abs_diff(solver.solution(),
+                         tb::test::reference_result(initial, 7)),
+            0.0);
+}
+
+// A blocked facade owns one team of n*t sweep threads; the remainder
+// baseline team appears with the first remainder phase.
+TEST(StencilFacade, BlockedSolverOwnsOneTeamUntilARemainder) {
+  const int before = tb::test::thread_count();
+  if (before < 0) GTEST_SKIP() << "no /proc/self/task";
+  const Grid3 initial = make_initial(16);
+  for (const char* variant : {"pipelined", "compressed", "wavefront"}) {
+    SolverConfig cfg;
+    cfg.pipeline.teams = 2;
+    cfg.pipeline.team_size = 2;
+    cfg.pipeline.block = {8, 6, 6};
+    cfg.wavefront.threads = 4;
+    StencilSolver solver = make_solver(variant, "jacobi", cfg, initial);
+    EXPECT_EQ(tb::test::thread_count() - before, 4) << variant;
+    const int depth = solver.config().pipeline.levels_per_sweep();
+    solver.advance(depth);
+    EXPECT_EQ(tb::test::thread_count() - before, 4) << variant;
+    solver.advance(depth + 1);
+    EXPECT_EQ(tb::test::thread_count() - before, 8) << variant;
+  }
 }
 
 }  // namespace

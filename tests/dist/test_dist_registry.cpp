@@ -175,5 +175,23 @@ TEST(DistRegistry, BadNamesAndMissingKappaThrow) {
   });
 }
 
+TEST(DistRegistry, RankOwnsOneTeamOfSweepThreads) {
+  // A rank window runs whole sweeps only, so its facade never builds the
+  // remainder team: a t = 2 rank adds exactly its two sweep threads.
+  const core::Grid3 initial = make_initial(12);
+  DistConfig cfg;
+  cfg.pipeline.team_size = 2;
+  simnet::World world(1);
+  world.run([&](simnet::Comm& comm) {
+    const int before = tb::test::thread_count();
+    if (before < 0) GTEST_SKIP() << "no /proc/self/task";
+    std::unique_ptr<AnyDistributed> solver =
+        make_distributed("jacobi", comm, cfg, initial);
+    EXPECT_EQ(tb::test::thread_count() - before, 2);
+    solver->advance(1);
+    EXPECT_EQ(tb::test::thread_count() - before, 2);
+  });
+}
+
 }  // namespace
 }  // namespace tb::dist

@@ -6,6 +6,7 @@
 #include "perfmodel/halo_model.hpp"
 #include "perfmodel/model_api.hpp"
 #include "perfmodel/single_cache_model.hpp"
+#include "perfmodel/stream.hpp"
 
 namespace tb::perfmodel {
 namespace {
@@ -292,4 +293,23 @@ TEST(ClusterModel, SubdomainReportedCorrectly) {
 }
 
 }  // namespace
+// ---- STREAM COPY measurements ------------------------------------------
+
+TEST(StreamCopy, ReportsBytesBandwidthAndSpread) {
+  const std::size_t elems = 1 << 14;
+  const BandwidthResult best = stream_copy(elems, 2, /*nontemporal=*/false);
+  EXPECT_EQ(best.bytes, 24 * elems);  // load + store + write-allocate
+  EXPECT_GT(best.bytes_per_second, 0.0);
+  EXPECT_DOUBLE_EQ(best.bytes_per_second,
+                   static_cast<double>(best.bytes) / best.seconds);
+  EXPECT_GE(best.relative_spread, 0.0);
+
+  // Mc: 1/4 of the LLC over two arrays, 8 copies per repetition, median.
+  const std::size_t llc = 1 << 20;
+  const BandwidthResult mc = measure_mc(2, llc);
+  EXPECT_EQ(mc.bytes, 24 * 8 * (llc / 4 / sizeof(double) / 2));
+  EXPECT_GT(mc.bytes_per_second, 0.0);
+  EXPECT_GE(mc.relative_spread, 0.0);
+}
+
 }  // namespace tb::perfmodel

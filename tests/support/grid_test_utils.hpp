@@ -11,6 +11,8 @@
 #include <array>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
+#include <iterator>
 
 #include "core/grid.hpp"
 #include "core/reference.hpp"
@@ -46,6 +48,15 @@ inline constexpr std::array<std::array<int, 3>, 3> kLargeShapes{{
 /// Cubic overload: n^3 material field.
 [[nodiscard]] inline core::Grid3 make_kappa(int n) {
   return make_kappa(n, n, n);
+}
+
+/// Threads of this process (entries of /proc/self/task); -1 where that
+/// directory does not exist.
+[[nodiscard]] inline int thread_count() {
+  std::error_code ec;
+  std::filesystem::directory_iterator it("/proc/self/task", ec);
+  if (ec) return -1;
+  return static_cast<int>(std::distance(it, {}));
 }
 
 /// Result of `steps` naive reference sweeps from `initial` — the

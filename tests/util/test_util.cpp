@@ -161,6 +161,34 @@ TEST(Args, Defaults) {
   EXPECT_EQ(args.get_int_list("missing", {5}).at(0), 5);
 }
 
+TEST(Args, MalformedNumbersThrowNamingTheFlag) {
+  const char* argv[] = {"prog", "--steps", "abc", "--n", "12abc",
+                        "--f",  "2.5x",    "--T", "1,x,4", "--e=",
+                        "--big", "99999999999999999999", "--neg", "-3"};
+  Args args(static_cast<int>(std::size(argv)), argv);
+  auto message = [](auto&& call) {
+    try {
+      (void)call();
+    } catch (const std::invalid_argument& err) {
+      return std::string(err.what());
+    }
+    return std::string("no throw");
+  };
+  EXPECT_EQ(message([&] { return args.get_int("steps", 0); }),
+            "--steps=abc is not an integer");
+  EXPECT_EQ(message([&] { return args.get_int("n", 0); }),
+            "--n=12abc is not an integer");
+  EXPECT_EQ(message([&] { return args.get_double("f", 0.0); }),
+            "--f=2.5x is not a number");
+  EXPECT_EQ(message([&] { return args.get_int_list("T", {}); }),
+            "--T=x is not an integer");
+  EXPECT_EQ(message([&] { return args.get_int("e", 0); }),
+            "--e= is not an integer");
+  EXPECT_EQ(message([&] { return args.get_int("big", 0); }),
+            "--big=99999999999999999999 is not an integer");
+  EXPECT_EQ(args.get_int("neg", 0), -3);
+}
+
 TEST(ThreadPool, RunsAllWorkers) {
   ThreadPool pool(4);
   std::vector<int> hits(4, 0);
