@@ -694,6 +694,7 @@ void overlap(const Opts& o) {
     cfg.proc_dims = {2, 2, 1};
     cfg.pipeline.teams = 1;
     cfg.pipeline.team_size = 1;
+    cfg.pipeline.steps_per_thread = 1;
     cfg.pipeline.block = {m, 8, 8};
     cfg.proc_lups = 1.0e9;
     cfg.overlap = overlapped;

@@ -1,15 +1,17 @@
 // Quickstart: solve a 3-D boundary value problem with pipelined temporal
 // blocking in ~40 lines.
 //
-//   $ ./quickstart [--n 128] [--steps 64] [--teams 1] [--threads 2] [--T 2]
+//   $ ./quickstart [--n 128] [--steps 64] [--teams 1] [--threads 2] [--T T]
 //                  [--variant pipelined] [--operator jacobi]
 //   $ ./quickstart --scenario scenarios/quickstart.json
 //
 // Sets up a cubic domain with a hot x=0 face, advances `steps` sweeps of
 // the selected (variant, operator) combination — any registry pair works,
 // e.g. --variant wavefront --operator varcoef — and reports performance
-// and the center temperature.  With --scenario the flags are ignored and
-// the whole JSON case batch runs through the scenario engine instead.
+// and the center temperature; --T defaults to the model's depth for the
+// step count (core::resolve_depth).  With --scenario the flags are
+// ignored and the whole JSON case batch runs through the scenario engine
+// instead.
 #include <cstdio>
 #include <stdexcept>
 
@@ -37,15 +39,17 @@ int run(const tb::util::Args& args) {
 
   // Configure the solver: one team of t threads sharing a cache, each
   // performing T in-cache updates per block (see README for tuning).
+  // Without --T the performance model picks T for this step count.
   tb::core::SolverConfig cfg;
   cfg.pipeline.teams = static_cast<int>(args.get_int("teams", 1));
   cfg.pipeline.team_size = flags.threads;  // --threads (alias --t)
-  cfg.pipeline.steps_per_thread = static_cast<int>(args.get_int("T", 2));
+  cfg.pipeline.steps_per_thread = static_cast<int>(args.get_int("T", 0));
   cfg.pipeline.block = {n, 16, 16};
   cfg.pipeline.du = 4;
   cfg.baseline.threads = cfg.pipeline.total_threads();
   cfg.wavefront.threads = cfg.pipeline.total_threads();
   tb::core::configure_from_args(cfg, args);  // --variant / --operator
+  tb::core::resolve_depth(cfg.pipeline, tb::core::operator_name(cfg), steps);
 
   // The varcoef operator diffuses through a material field; default to
   // the standard conductive slab across the domain's middle third.

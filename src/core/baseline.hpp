@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 
 #include "core/grid.hpp"
@@ -41,18 +42,19 @@ struct BaselineConfig {
 template <class Op>
 class BaselineSolver {
  public:
+  /// Sweeps on a pool of cfg.threads threads of its own, or on a
+  /// borrowed `team` (cfg.threads is then ignored; the team's size is
+  /// the thread count, and the team must outlive the solver): the
+  /// remainder phases of a temporally blocked StencilSolver run on its
+  /// pipeline engine's pool, so that solver owns one team.
   BaselineSolver(const BaselineConfig& cfg, int nx, int ny, int nz,
-                 Op op = Op{})
-      : cfg_(cfg),
-        op_(op),
-        nx_(nx),
-        ny_(ny),
-        nz_(nz),
-        pool_(std::max(1, cfg.threads)) {
-    if (cfg.threads < 1)
+                 Op op = Op{}, util::ThreadPool* team = nullptr)
+      : cfg_(cfg), op_(op), nx_(nx), ny_(ny), nz_(nz), pool_(team) {
+    if (team == nullptr && cfg.threads < 1)
       throw std::invalid_argument("BaselineConfig: threads < 1");
     if (cfg.block.bx < 1 || cfg.block.by < 1 || cfg.block.bz < 1)
       throw std::invalid_argument("BaselineConfig: block extents < 1");
+    if (pool_ == nullptr) pool_ = &own_pool_.emplace(cfg.threads);
   }
 
   /// Runs `steps` sweeps; `a` holds the starting level (global index
@@ -73,7 +75,7 @@ class BaselineSolver {
       const int tiles_j = (j1 - j0 + cfg_.block.by - 1) / cfg_.block.by;
       const int tiles_k = (k1 - k0 + cfg_.block.bz - 1) / cfg_.block.bz;
       const long long tiles = 1LL * tiles_j * tiles_k;
-      const int workers = pool_.size();
+      const int workers = pool_->size();
       const bool nt = cfg_.nontemporal && Op::kHasNontemporal &&
                       nontemporal_supported();
       SpinBarrier barrier(workers);
@@ -92,7 +94,7 @@ class BaselineSolver {
                            ? &obs::Trace::instance()
                            : nullptr;
 
-      pool_.run([&, this](int w) {
+      pool_->run([&, this](int w) {
         // Static contiguous partition of the tile list: matches the
         // first-touch initialization so each thread updates "its" pages.
         const long long lo = tiles * w / workers;
@@ -167,13 +169,14 @@ class BaselineSolver {
   /// The solver's thread team.  StencilSolver also runs its level-0
   /// fills (carrier copies, operator state) on it, so those fills are
   /// the pages' first touch by the threads that sweep them.
-  [[nodiscard]] util::ThreadPool& pool() { return pool_; }
+  [[nodiscard]] util::ThreadPool& pool() { return *pool_; }
 
  private:
   BaselineConfig cfg_;
   Op op_;
   int nx_, ny_, nz_;
-  util::ThreadPool pool_;
+  std::optional<util::ThreadPool> own_pool_;
+  util::ThreadPool* pool_ = nullptr;  ///< own_pool_ or a borrowed team
 };
 
 }  // namespace tb::core

@@ -2,6 +2,7 @@
 // the wavefront (a fixed plan of the same pipeline engine).
 #pragma once
 
+#include <array>
 #include <stdexcept>
 #include <string>
 
@@ -28,13 +29,26 @@ enum class GridScheme {
   return s == GridScheme::kTwoGrid ? "two-grid" : "compressed";
 }
 
+/// The per-thread depths T the model chooses between: the tuner's
+/// search ladder and the candidates of core::resolve_depth.
+inline constexpr std::array<int, 3> kDepthLadder{1, 2, 4};
+
 /// Full parameter set of the pipeline.  Paper notation:
 ///   n = teams, t = team_size, T = steps_per_thread,
 ///   d_l / d_u = lower/upper thread distance, d_t = team delay.
+///
+/// T = 0 (the default) means "unresolved": core::resolve_depth replaces
+/// it with the T of kDepthLadder that the NodeModel predicts fastest for
+/// the operator, team, block, d_u and scheme, capped so that one team
+/// sweep (n*t*T levels) fits the request's step count.
+/// SolverSession::solve resolves with the request's steps, the
+/// StencilSolver facade and dist::DistributedStencil without a cap.  An
+/// explicit T is never overridden.
 struct PipelineConfig {
   int teams = 1;             ///< n — one per outer-level cache group
   int team_size = 4;         ///< t — threads sharing a cache
-  int steps_per_thread = 1;  ///< T — updates each thread performs per block
+  int steps_per_thread = 0;  ///< T — updates each thread performs per
+                             ///< block; 0 = unresolved (see above)
   BlockSize block{};         ///< bx x by x bz block extents
   int dl = 1;                ///< minimum distance between neighbour threads
   int du = 4;                ///< maximum distance ("pipeline looseness")
@@ -42,8 +56,13 @@ struct PipelineConfig {
   SyncMode sync = SyncMode::kRelaxed;
   GridScheme scheme = GridScheme::kTwoGrid;
 
-  /// Levels advanced per team sweep: n * t * T.
+  /// Levels advanced per team sweep: n * t * T.  Throws
+  /// std::logic_error while T is unresolved.
   [[nodiscard]] int levels_per_sweep() const {
+    if (steps_per_thread == 0)
+      throw std::logic_error(
+          "PipelineConfig: steps_per_thread is unresolved (0); set it or "
+          "call core::resolve_depth");
     return teams * team_size * steps_per_thread;
   }
 

@@ -55,7 +55,27 @@ std::string SolverSession::fingerprint(const SolveRequest& req) {
   return os.str();
 }
 
-SolveResult SolverSession::solve(const SolveRequest& req) {
+namespace {
+
+/// The request with an unset pipeline depth resolved for its step count
+/// (resolve_depth), so the pool key names the plan that runs and a
+/// replay of the same fields hits the same solver.  Meta variants pick
+/// their own depth; unknown names are left for Registry::make to reject.
+SolveRequest with_depth(const SolveRequest& in) {
+  SolveRequest req = in;
+  SolverConfig probe = req.cfg;
+  if (apply_variant(probe, req.variant) && probe.meta.empty() &&
+      apply_operator(probe, req.op)) {
+    resolve_depth(probe.pipeline, operator_name(probe), req.steps);
+    req.cfg.pipeline.steps_per_thread = probe.pipeline.steps_per_thread;
+  }
+  return req;
+}
+
+}  // namespace
+
+SolveResult SolverSession::solve(const SolveRequest& request) {
+  const SolveRequest req = with_depth(request);
   const std::string key = fingerprint(req);
   obs::Registry& reg = obs::Registry::global();
 

@@ -84,7 +84,9 @@ class SolverSession {
 
   /// Runs one case: pool hit -> reset + advance, miss -> construct
   /// (through Registry::global().make, so meta variants resolve) +
-  /// advance.  Ticks obs counters session.solver.create / .reuse.
+  /// advance.  An unset pipeline depth (T = 0) is first resolved for
+  /// req.steps (resolve_depth), so the pool key is the plan that runs.
+  /// Ticks obs counters session.solver.create / .reuse.
   /// Throws std::invalid_argument on an empty initial, unknown names, or
   /// an operator that needs an aux grid without one.
   SolveResult solve(const SolveRequest& req);

@@ -5,9 +5,12 @@
 #include <stdexcept>
 #include <utility>
 
+#include "core/registry.hpp"  // operator_name
 #include "core/stencil_op.hpp"
 #include "lbm/stencil_op.hpp"
 #include "obs/obs.hpp"
+#include "perfmodel/model_api.hpp"
+#include "topo/machine.hpp"
 #include "topo/placement.hpp"
 #include "util/timer.hpp"
 
@@ -147,6 +150,29 @@ PipelineConfig wavefront_plan(const WavefrontConfig& wf, int nx, int ny) {
   return p;
 }
 
+void resolve_depth(PipelineConfig& p, std::string_view op, int max_levels) {
+  if (p.steps_per_thread != 0) return;
+  static const perfmodel::NodeModel model(topo::host_machine());
+  const perfmodel::OperatorTraffic traffic = perfmodel::operator_traffic(op);
+  const std::size_t block_bytes = static_cast<std::size_t>(p.block.bx) *
+                                  p.block.by * p.block.bz * sizeof(double);
+  int best = kDepthLadder.front();
+  double best_lups = -1.0;
+  for (const int T : kDepthLadder) {
+    if (T != kDepthLadder.front() && max_levels > 0 &&
+        p.total_threads() * T > max_levels)
+      break;
+    const double lups = model.pipelined_lups(
+        traffic, p.teams, p.team_size, T, block_bytes, p.du,
+        p.scheme == GridScheme::kCompressed);
+    if (lups > best_lups) {
+      best = T;
+      best_lups = lups;
+    }
+  }
+  p.steps_per_thread = best;
+}
+
 struct StencilSolver::Impl {
   virtual ~Impl() = default;
   /// Advances by `steps` levels; `base` is the absolute level count
@@ -178,8 +204,11 @@ struct StencilSolver::OpImpl final : StencilSolver::Impl {
         a_(nx_, ny_, nz_) {
     // The wavefront is a fixed plan of the pipelined two-grid solver;
     // from here on it shares the pipelined construction and advance path.
+    // Any other unset depth becomes the model's choice, so config()
+    // reports the depth that runs.
     if (cfg.variant == Variant::kWavefront)
       cfg_.pipeline = wavefront_plan(cfg.wavefront, nx_, ny_);
+    resolve_depth(cfg_.pipeline, operator_name(cfg_));
     const bool blocked = cfg.variant == Variant::kPipelined ||
                          cfg.variant == Variant::kWavefront;
     const bool compressed =
@@ -209,7 +238,7 @@ struct StencilSolver::OpImpl final : StencilSolver::Impl {
       case Variant::kPipelined:
       case Variant::kWavefront:
         // Remainder steps (not a multiple of n*t*T) run as baseline
-        // sweeps on a solver built by the first of them.
+        // sweeps on this team, by a solver built by the first of them.
         cfg_.pipeline.validate();
         if (windowed_) {
           pipelined_ = std::make_unique<PipelinedSolver<Op>>(
@@ -364,12 +393,9 @@ struct StencilSolver::OpImpl final : StencilSolver::Impl {
   /// the LevelOrigin turns them back into absolute levels for
   /// time-dependent operators.
   RunStats advance_baseline_steps(int steps, int base) {
-    if (!baseline_) {
-      BaselineConfig rem = cfg_.baseline;
-      rem.threads = cfg_.pipeline.total_threads();
-      baseline_ = std::make_unique<BaselineSolver<Op>>(rem, nx_, ny_, nz_,
-                                                       state_.make());
-    }
+    if (!baseline_)  // remainder sweeps on the blocked team
+      baseline_ = std::make_unique<BaselineSolver<Op>>(
+          cfg_.baseline, nx_, ny_, nz_, state_.make(), team());
     if (b_.size() == 0) allocate_b();
     if (!b_synced_) {
       // b_ needs the Dirichlet boundary, which every level of a_ holds.

@@ -21,6 +21,7 @@
 #include <array>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/baseline.hpp"
@@ -149,6 +150,27 @@ struct GridWindow {
 [[nodiscard]] PipelineConfig wavefront_plan(const WavefrontConfig& wf,
                                             int nx, int ny);
 
+/// Resolves an unset pipeline depth (p.steps_per_thread == 0) to the T
+/// of kDepthLadder that perfmodel::NodeModel::pipelined_lups on the host
+/// machine ranks highest for the traffic row of operator `op` (a
+/// registry name: "jacobi", "lbm:aa", ...), p's team, block, d_u and
+/// storage scheme — the call the tuner's model ranker makes.  Where the
+/// model's cache-capacity gate rejects the block (its d_u in-flight
+/// blocks per thread do not fit the shared cache) every depth predicts
+/// the baseline rate and T = 1 wins; otherwise the deepest competing T
+/// does.  With max_levels > 0 only depths whose team sweep
+/// n*t*T <= max_levels compete (T = 1 always does), so a request of that
+/// many steps runs at least one whole sweep when any depth allows it.
+/// Ties go to the smaller T.  An explicit T is left as it is.
+///
+/// Without a cap (a StencilSolver built with T unset) the depth ignores
+/// the step counts advance() will see, and an advance(steps) with fewer
+/// than n*t*T steps runs baseline remainder sweeps only: a caller that
+/// knows its step count resolves with it first, as SolverSession::solve
+/// does.
+void resolve_depth(PipelineConfig& p, std::string_view op,
+                   int max_levels = 0);
+
 /// Owns the working grids and advances them by arbitrary step counts.
 class StencilSolver {
  public:
@@ -178,10 +200,11 @@ class StencilSolver {
   /// For the temporally blocked variants, whole team sweeps are used for
   /// floor(steps / depth) * depth levels and the remainder falls back to
   /// baseline sweeps (a real code must produce exactly the requested
-  /// number of levels, not a convenient multiple).  The first remainder
-  /// builds the baseline team, and for the compressed scheme the second
-  /// carrier; a solver that never needs one owns one team and, if
-  /// compressed, one carrier plus its (n+S)^3 array.
+  /// number of levels, not a convenient multiple).  Remainder sweeps run
+  /// on the blocked solver's own team, so it owns n*t threads throughout;
+  /// the first remainder of the compressed scheme builds the second
+  /// carrier, which a compressed solver that never needs one does without
+  /// (one carrier plus its (n+S)^3 array).
   RunStats advance(int steps);
 
   /// Rewinds the solver to level 0 with new initial data, reusing every

@@ -36,6 +36,7 @@
 // the paper's Sec. 3 outlook.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <stdexcept>
@@ -98,8 +99,8 @@ class DistributedStencil {
                      const DistConfig& cfg, const core::Grid3& global_initial,
                      const core::Grid3* global_aux = nullptr)
       : comm_(comm),
-        cfg_(cfg),
-        halo_(cfg.pipeline.levels_per_sweep()),
+        cfg_(with_depth(cfg, op, global_initial)),
+        halo_(cfg_.pipeline.levels_per_sweep()),
         global_n_{global_initial.nx(), global_initial.ny(),
                   global_initial.nz()},
         // Decomposition performs the admissibility checks (more ranks
@@ -193,6 +194,9 @@ class DistributedStencil {
     gather_owned(fields, outs, root, kStateGatherTag);
   }
 
+  /// Ghost width h = n*t*T; an unset T is the model's choice
+  /// (core::resolve_depth) among the depths whose h fits the thinnest
+  /// subdomain.
   [[nodiscard]] int halo() const { return halo_; }
 
  private:
@@ -228,6 +232,30 @@ class DistributedStencil {
                                                      : outside;
               }
             }};
+  }
+
+  /// `cfg` with an unset depth resolved for the rank step's two-grid
+  /// scheme, capped so that h = n*t*T fits the minimum share of every
+  /// decomposed axis (the Decomposition's admissibility rule): a
+  /// geometry whose shares admit T = 1 never fails for a deeper model
+  /// choice.  The choice reads only global inputs, so every rank agrees
+  /// on the halo width.
+  [[nodiscard]] static DistConfig with_depth(DistConfig cfg,
+                                             core::Operator op,
+                                             const core::Grid3& global) {
+    const std::array<int, 3> n{global.nx(), global.ny(), global.nz()};
+    int max_levels = 0;  // no decomposed axis: no cap
+    for (std::size_t d = 0; d < 3; ++d) {
+      const int parts = cfg.proc_dims[d];
+      if (parts < 2) continue;
+      const int share = std::max(1, (n[d] - 2) / parts);
+      max_levels = max_levels == 0 ? share : std::min(max_levels, share);
+    }
+    core::PipelineConfig p = cfg.pipeline;
+    p.scheme = core::GridScheme::kTwoGrid;
+    core::resolve_depth(p, core::to_string(op), max_levels);
+    cfg.pipeline.steps_per_thread = p.steps_per_thread;
+    return cfg;
   }
 
   /// The rank's facade: the pipelined two-grid scheme on this rank's

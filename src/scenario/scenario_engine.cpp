@@ -20,7 +20,9 @@ namespace {
 
 /// SolverConfig for a case: physics knobs and the thread count mapped
 /// onto every variant's block (the registry then picks whichever the
-/// variant reads).  Block defaults mirror the quickstart example.
+/// variant reads).  Block defaults mirror the quickstart example.  The
+/// pipeline depth T stays unset: SolverSession::solve resolves it to the
+/// model's choice for the case's step count (core::resolve_depth).
 core::SolverConfig config_for(const CaseSpec& spec) {
   core::SolverConfig cfg;
   cfg.pipeline.teams = 1;
@@ -75,7 +77,10 @@ CaseResult ScenarioEngine::run_case(const CaseSpec& spec) {
   out.stats = solved.stats;
   out.reused = solved.reused;
   if (solved.solver != nullptr) {
-    out.resolved_variant = core::variant_name(solved.solver->config());
+    const core::SolverConfig& rcfg = solved.solver->config();
+    out.resolved_variant = core::variant_name(rcfg);
+    if (rcfg.variant == core::Variant::kPipelined)
+      out.resolved_config = rcfg.pipeline.describe();
     out.mean = solution_mean(solved.solver->solution());
   }
 
@@ -96,14 +101,18 @@ CaseResult ScenarioEngine::run_case(const CaseSpec& spec) {
                 {"op", opname},
                 {"variant", out.resolved_variant},
                 {"reused", solved.reused ? "1" : "0"}};
+    if (!out.resolved_config.empty())
+      row.tags.emplace_back("config", out.resolved_config);
     obs::append_run_rows(obs::default_rundb_path(), {row});
   }
 
   out.wall_seconds = wall.elapsed();
   if (opts_.print_cases)
-    std::printf("  %-44s %7.3f s wall %7.3f s advance %8.1f MLUP/s%s\n",
+    std::printf("  %-44s %7.3f s wall %7.3f s advance %8.1f MLUP/s%s%s%s\n",
                 spec.name.c_str(), out.wall_seconds, out.stats.seconds,
-                out.stats.mlups(), out.reused ? "  (pool hit)" : "");
+                out.stats.mlups(), out.reused ? "  (pool hit)" : "",
+                out.resolved_config.empty() ? "" : "  ",
+                out.resolved_config.c_str());
   return out;
 }
 

@@ -27,6 +27,8 @@ struct CaseResult {
                               ///< mean and telemetry
   bool reused = false;       ///< solver came from the session pool
   std::string resolved_variant;  ///< concrete variant after meta resolution
+  std::string resolved_config;   ///< pipeline tunables that ran (resolved
+                                 ///< depth included); empty when unblocked
   double mean = 0.0;         ///< mean of the final solution (sanity value)
 };
 

@@ -132,7 +132,8 @@ struct SimResult {
 
 /// Simulates `sweeps` team sweeps of the pipelined temporal blocking
 /// scheme on an interior grid of `grid` cells (boundary handling as in the
-/// real solver).  Threads of team g run on socket g.
+/// real solver).  Threads of team g run on socket g.  cfg's T must be
+/// set: the simulated machine is not the host core::resolve_depth asks.
 [[nodiscard]] SimResult simulate_pipeline(
     const SimMachine& machine, const core::PipelineConfig& cfg,
     std::array<int, 3> grid, int sweeps,

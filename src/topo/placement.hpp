@@ -39,16 +39,24 @@ enum class PagePlacement {
 
 inline constexpr std::size_t kPageBytes = 4096;
 
-/// Touches `bytes` of `data` according to `policy` using `threads` logical
-/// initializer threads.  Each initializer writes zeros to the pages the
-/// policy assigns to it, establishing first-touch homing on real ccNUMA
-/// hardware and a deterministic initialization everywhere else.
+/// Bytes of the page the kernel homes as a whole for a buffer of `count`
+/// doubles: util::kHugePageBytes where util::AlignedBuffer backs the
+/// buffer with huge pages (a host whose THP mode allows it homes all of
+/// a huge page on the node of its first toucher), kPageBytes otherwise.
+[[nodiscard]] std::size_t placement_unit_bytes(std::size_t count);
+
+/// Touches the `count` doubles at `data` according to `policy` using
+/// `threads` logical initializer threads.  Each initializer writes zeros
+/// to the pages the policy assigns to it, establishing first-touch homing
+/// on real ccNUMA hardware and a deterministic initialization everywhere
+/// else.  Pages are placement_unit_bytes(count) units aligned in the
+/// address space, so round-robin hands whole huge pages to threads.
 void touch_pages(double* data, std::size_t count, PagePlacement policy,
                  int threads);
 
 /// Returns the locality domain (0..domains-1) that `policy` assigns to the
 /// page containing element `index`; used by the machine simulator to model
-/// per-controller traffic.
+/// per-controller traffic of the simulated machine's kPageBytes pages.
 [[nodiscard]] int page_domain(std::size_t index, PagePlacement policy,
                               int domains, std::size_t elems_per_domain);
 

@@ -86,6 +86,11 @@ std::vector<Candidate> enumerate_candidates(
       (p.op == "lbm" || p.op == "lbm:aa") ? std::vector<int>{0, 16}
                                           : std::vector<int>{0};
   auto emit = [&out, &storages, &prefetches](Candidate c) {
+    // A candidate is a whole schedule: one that runs no pipeline gets
+    // T = 1 in its never-run pipeline config instead of an unresolved
+    // depth, so every candidate's config validates.
+    if (c.cfg.variant != core::Variant::kPipelined)
+      c.cfg.pipeline.steps_per_thread = core::kDepthLadder.front();
     for (Storage s : storages) {
       c.cfg.lbm_storage = s;
       for (int pf : prefetches) {
@@ -141,7 +146,7 @@ std::vector<Candidate> enumerate_candidates(
     for (int teams : {1, machine.sockets}) {
       for (int t : team_sizes) {
         if (teams * t > cores) continue;
-        for (int T : {1, 2, 4})
+        for (int T : core::kDepthLadder)
           for (int du : {2, 4, 8})
             for (int tile : tiles) {
               Candidate c;

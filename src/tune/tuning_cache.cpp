@@ -208,7 +208,9 @@ std::size_t TuningCache::load() {
     e.plan.measured_mlups = as_double(o, "measured_mlups", 0.0);
 
     try {  // never let a corrupt entry produce an invalid schedule
-      pl.validate();
+      // (the pipeline is part of the schedule only where it runs; other
+      // plans may carry an unresolved depth)
+      if (e.plan.cfg.variant == core::Variant::kPipelined) pl.validate();
       wf.validate();
       // BaselineConfig has no validate(); mirror its constructor checks.
       if (bl.threads < 1 || bl.block.bx < 1 || bl.block.by < 1 ||

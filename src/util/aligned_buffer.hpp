@@ -6,6 +6,7 @@
 // decide who touches what.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -15,6 +16,10 @@
 #include <utility>
 
 #include "util/simd.hpp"
+
+#if defined(__linux__)
+#include <sys/mman.h>
+#endif
 
 namespace tb::util {
 
@@ -65,11 +70,34 @@ static_assert(kCacheLineBytes %
                   0,
               "cache-line padding no longer implies native SIMD alignment");
 
+/// Transparent-huge-page size: buffers of at least this many bytes are
+/// placed in blocks aligned to it and advised MADV_HUGEPAGE, so hosts
+/// whose THP mode is `madvise` back grids with 2 MiB pages (fewer page
+/// faults at first touch, fewer TLB misses per sweep).  First-touch and
+/// round-robin placement then home memory at this granularity.
+inline constexpr std::size_t kHugePageBytes = std::size_t{2} << 20;
+
+/// Successive huge buffers start this far apart within their 2 MiB
+/// blocks (cycling through kHugeStaggerSlots offsets).  A huge page is
+/// physically contiguous, so arrays that all started at offset 0 would
+/// put element i of every grid — both Jacobi carriers, the 19 lbm
+/// distributions — in the same cache sets and evict each other; with
+/// 4 KiB pages the random physical frames hid that.  33 cache lines
+/// apart differ both in the 4 KiB alias bits and in the L2 set bits.
+inline constexpr std::size_t kHugeStaggerBytes = 33 * kCacheLineBytes;
+inline constexpr std::size_t kHugeStaggerSlots = 32;
+
+namespace detail {
+inline std::atomic<std::uint64_t> huge_allocs{0};  ///< picks the stagger
+}  // namespace detail
+
 /// Owning, cache-line-aligned raw buffer of `T`.
 ///
 /// Unlike std::vector the contents are *not* value-initialized on
 /// construction; pages are only mapped when first written, which lets NUMA
 /// placement policies (see tb::topo::PagePlacement) control page homing.
+/// Buffers of kHugePageBytes or more are huge-page backed where the host
+/// allows it, staggered by kHugeStaggerBytes steps.
 template <typename T>
 class AlignedBuffer {
  public:
@@ -79,9 +107,28 @@ class AlignedBuffer {
                          std::size_t alignment = kCacheLineBytes)
       : size_(count) {
     if (count == 0) return;
-    const std::size_t bytes = round_up(count * sizeof(T), alignment);
-    data_ = static_cast<T*>(std::aligned_alloc(alignment, bytes));
-    if (data_ == nullptr) throw std::bad_alloc{};
+    const bool huge = count * sizeof(T) >= kHugePageBytes;
+    const std::size_t block_alignment =
+        huge ? std::max(alignment, kHugePageBytes) : alignment;
+    const std::size_t stagger =
+        huge ? detail::huge_allocs.fetch_add(1, std::memory_order_relaxed) %
+                   kHugeStaggerSlots * round_up(kHugeStaggerBytes, alignment)
+             : 0;
+    const std::size_t bytes =
+        round_up(count * sizeof(T) + stagger, block_alignment);
+    block_ = std::aligned_alloc(block_alignment, bytes);
+    if (block_ == nullptr) throw std::bad_alloc{};
+#if defined(MADV_HUGEPAGE)
+    // Advice only: a kernel without THP refuses it and the buffer keeps
+    // base pages.  Whole huge pages of the used range only — a huge page
+    // over the tail would make its unused part resident too.
+    if (huge)
+      (void)madvise(block_,
+                    (count * sizeof(T) + stagger) / kHugePageBytes *
+                        kHugePageBytes,
+                    MADV_HUGEPAGE);
+#endif
+    data_ = reinterpret_cast<T*>(static_cast<char*>(block_) + stagger);
     bytes_ = bytes;
     detail::alloc_count.fetch_add(1, std::memory_order_relaxed);
     const std::uint64_t live =
@@ -99,7 +146,8 @@ class AlignedBuffer {
     // it, and a misaligned base would turn their streaming stores into
     // hard faults far from the allocation site.
     if (reinterpret_cast<std::uintptr_t>(data_) % alignment != 0) {
-      std::free(data_);
+      std::free(block_);
+      block_ = nullptr;
       data_ = nullptr;
       throw std::runtime_error(
           "AlignedBuffer: allocator returned a misaligned block");
@@ -110,13 +158,15 @@ class AlignedBuffer {
   AlignedBuffer& operator=(const AlignedBuffer&) = delete;
 
   AlignedBuffer(AlignedBuffer&& other) noexcept
-      : data_(std::exchange(other.data_, nullptr)),
+      : block_(std::exchange(other.block_, nullptr)),
+        data_(std::exchange(other.data_, nullptr)),
         size_(std::exchange(other.size_, 0)),
         bytes_(std::exchange(other.bytes_, 0)) {}
 
   AlignedBuffer& operator=(AlignedBuffer&& other) noexcept {
     if (this != &other) {
       release();
+      block_ = std::exchange(other.block_, nullptr);
       data_ = std::exchange(other.data_, nullptr);
       size_ = std::exchange(other.size_, 0);
       bytes_ = std::exchange(other.bytes_, 0);
@@ -147,12 +197,14 @@ class AlignedBuffer {
   void release() noexcept {
     if (data_ != nullptr)
       detail::alloc_bytes.fetch_sub(bytes_, std::memory_order_relaxed);
-    std::free(data_);
+    std::free(block_);
+    block_ = nullptr;
     data_ = nullptr;
     size_ = 0;
     bytes_ = 0;
   }
 
+  void* block_ = nullptr;  ///< the allocation; data_ sits `stagger` into it
   T* data_ = nullptr;
   std::size_t size_ = 0;
   std::size_t bytes_ = 0;  ///< rounded-up bytes charged to the counters

@@ -159,6 +159,7 @@ TEST(PipelineConfig, LevelsAndThreads) {
 TEST(PipelineConfig, ValidateCatchesEachField) {
   auto bad = [](auto mutate) {
     PipelineConfig pc;
+    pc.steps_per_thread = 1;
     mutate(pc);
     EXPECT_THROW(pc.validate(), std::invalid_argument);
   };
@@ -170,6 +171,13 @@ TEST(PipelineConfig, ValidateCatchesEachField) {
   bad([](PipelineConfig& p) { p.du = 0; });       // du < dl deadlocks
   bad([](PipelineConfig& p) { p.dl = 3; p.du = 2; });
   bad([](PipelineConfig& p) { p.dt = -1; });
+}
+
+TEST(PipelineConfig, UnresolvedDepthHasNoSweepLength) {
+  PipelineConfig pc;
+  EXPECT_EQ(pc.steps_per_thread, 0);  // the default: the model picks T
+  EXPECT_THROW((void)pc.levels_per_sweep(), std::logic_error);
+  EXPECT_EQ(pc.total_threads(), 4);
 }
 
 TEST(PipelineConfig, DescribeMentionsKeyParams) {

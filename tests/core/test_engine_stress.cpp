@@ -99,6 +99,7 @@ TEST(EngineStress, ManySweepsOversubscribed) {
   const int n = 12;
   const Grid3 initial = make_initial(n);
   PipelineConfig cfg;
+  cfg.steps_per_thread = 1;
   cfg.teams = 3;
   cfg.team_size = 4;
   cfg.block = {4, 3, 3};
@@ -115,6 +116,7 @@ TEST(EngineStress, ManySweepsOversubscribed) {
 
 TEST(EngineStress, EngineRejectsMismatchedPlanDepth) {
   PipelineConfig cfg;
+  cfg.steps_per_thread = 1;
   cfg.team_size = 2;  // 2 levels
   EXPECT_THROW(
       PipelineEngine(cfg, BlockPlan(cfg.block,

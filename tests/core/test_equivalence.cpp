@@ -156,6 +156,7 @@ TEST(EquivalenceProps, ResultIndependentOfDu) {
     cfg.variant = Variant::kPipelined;
     cfg.pipeline.teams = 2;
     cfg.pipeline.team_size = 2;
+    cfg.pipeline.steps_per_thread = 1;
     cfg.pipeline.du = du;
     cfg.pipeline.block = {5, 4, 3};
     StencilSolver s(cfg, initial);
@@ -176,6 +177,7 @@ TEST(EquivalenceProps, BarrierAndRelaxedIdentical) {
   cfg.variant = Variant::kPipelined;
   cfg.pipeline.teams = 2;
   cfg.pipeline.team_size = 2;
+  cfg.pipeline.steps_per_thread = 1;
   cfg.pipeline.block = {6, 4, 5};
 
   StencilSolver relaxed(cfg, initial);
@@ -194,6 +196,7 @@ TEST(EquivalenceProps, RepeatedRunsAreDeterministic) {
   cfg.variant = Variant::kPipelined;
   cfg.pipeline.teams = 1;
   cfg.pipeline.team_size = 4;
+  cfg.pipeline.steps_per_thread = 1;
   cfg.pipeline.block = {4, 4, 4};
   Grid3 anchor(1, 1, 1);
   for (int run = 0; run < 3; ++run) {
@@ -214,6 +217,7 @@ TEST(EquivalenceProps, BoundariesNeverChange) {
   cfg.variant = Variant::kPipelined;
   cfg.pipeline.teams = 1;
   cfg.pipeline.team_size = 2;
+  cfg.pipeline.steps_per_thread = 1;
   cfg.pipeline.scheme = GridScheme::kCompressed;
   cfg.pipeline.block = {4, 4, 4};
   StencilSolver s(cfg, initial);

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/registry.hpp"
@@ -110,6 +111,110 @@ TEST(SolverSession, FullMatrixTwiceBitIdenticalZeroRealloc) {
   EXPECT_EQ(session.solvers_reused(),
             kVariants.size() * kOperators.size());
   EXPECT_EQ(session.pool_size(), kVariants.size() * kOperators.size());
+}
+
+// ---- pipeline depth resolution ----------------------------------------
+
+/// A t = 4 pipelined request with the depth left to the model.
+SolveRequest depth_request(const std::string& variant, const std::string& op,
+                           const Grid3& initial, const Grid3& kappa,
+                           int steps) {
+  SolveRequest req = matrix_request(variant, op, initial, kappa, steps);
+  req.cfg.pipeline.team_size = 4;
+  req.cfg.baseline.threads = 4;
+  return req;
+}
+
+TEST(DepthResolution, StepCapPicksTheDeepestWholeSweep) {
+  // On any host the model ranks deeper pipelines higher for a small
+  // Jacobi block, so the step count alone decides.
+  for (const auto& [steps, want] :
+       {std::pair{16, 4}, std::pair{15, 2}, std::pair{8, 2},
+        std::pair{7, 1}, std::pair{3, 1}}) {
+    SolverConfig cfg;
+    cfg.pipeline.team_size = 4;
+    cfg.pipeline.block = {12, 8, 8};
+    resolve_depth(cfg.pipeline, "jacobi", steps);
+    EXPECT_EQ(cfg.pipeline.steps_per_thread, want) << steps << " steps";
+  }
+  SolverConfig uncapped;
+  uncapped.pipeline.team_size = 4;
+  uncapped.pipeline.block = {12, 8, 8};
+  resolve_depth(uncapped.pipeline, "jacobi");
+  EXPECT_EQ(uncapped.pipeline.steps_per_thread, kDepthLadder.back());
+}
+
+TEST(DepthResolution, SessionRunsTheResolvedDepthWithoutRemainder) {
+  const Grid3 initial = make_initial(12);
+  const Grid3 kappa = make_kappa(12);
+  for (const char* variant : {"pipelined", "compressed"})
+    for (const auto& [steps, want] : {std::pair{16, 4}, std::pair{8, 2}}) {
+      SolverSession session;
+      const SolveResult r = session.solve(
+          depth_request(variant, "jacobi", initial, kappa, steps));
+      ASSERT_NE(r.solver, nullptr);
+      const PipelineConfig& ran = r.solver->config().pipeline;
+      EXPECT_EQ(ran.steps_per_thread, want) << variant << " " << steps;
+      EXPECT_EQ(steps % ran.levels_per_sweep(), 0)
+          << variant << ": a remainder phase ran";
+    }
+}
+
+TEST(DepthResolution, ExplicitDepthIsKept) {
+  const Grid3 initial = make_initial(12);
+  const Grid3 kappa = make_kappa(12);
+  SolverSession session;
+  SolveRequest req = depth_request("pipelined", "jacobi", initial, kappa, 16);
+  req.cfg.pipeline.steps_per_thread = 1;
+  EXPECT_EQ(session.solve(req).solver->config().pipeline.steps_per_thread, 1);
+
+  SolverConfig cfg = req.cfg;
+  cfg.pipeline.steps_per_thread = 2;
+  resolve_depth(cfg.pipeline, "jacobi", 4);  // would cap an unset depth at T = 1
+  EXPECT_EQ(cfg.pipeline.steps_per_thread, 2);
+  StencilSolver solver(cfg, initial);
+  EXPECT_EQ(solver.config().pipeline.steps_per_thread, 2);
+}
+
+TEST(DepthResolution, FacadeReportsTheResolvedDepth) {
+  const Grid3 initial = make_initial(12);
+  for (const char* variant : {"baseline", "pipelined", "compressed"}) {
+    SolverConfig cfg;
+    ASSERT_TRUE(apply_variant(cfg, variant));
+    cfg.pipeline.team_size = 2;
+    cfg.pipeline.block = {12, 8, 8};
+    cfg.baseline.threads = 2;
+    SolverConfig want = cfg;
+    resolve_depth(want.pipeline, "jacobi");
+    StencilSolver solver(cfg, initial);
+    EXPECT_EQ(solver.config().pipeline.steps_per_thread,
+              want.pipeline.steps_per_thread)
+        << variant;
+    EXPECT_GE(solver.config().pipeline.steps_per_thread, 1) << variant;
+  }
+}
+
+TEST(DepthResolution, DefaultDepthRunsMatchTheReference) {
+  const int n = 12;
+  const Grid3 initial = make_initial(n);
+  const Grid3 kappa = make_kappa(n);
+  for (const std::string& op : kOperators)
+    for (const int steps : {8, 16}) {
+      const SolveRequest ref_req =
+          depth_request("reference", op, initial, kappa, steps);
+      StencilSolver ref =
+          make_solver("reference", op, ref_req.cfg, initial, ref_req.aux);
+      ref.advance(steps);
+      for (const char* variant : {"pipelined", "compressed"}) {
+        SolverSession session;
+        const SolveResult r = session.solve(
+            depth_request(variant, op, initial, kappa, steps));
+        ASSERT_NE(r.solver, nullptr) << variant << "/" << op;
+        EXPECT_GT(r.solver->config().pipeline.steps_per_thread, 1)
+            << variant << "/" << op << " " << steps;
+        expect_grids_bitwise_equal(r.solver->solution(), ref.solution());
+      }
+    }
 }
 
 /// Geometry codes of a closed box whose top z face is the lid, plus

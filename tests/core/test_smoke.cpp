@@ -72,6 +72,7 @@ TEST(Smoke, BarrierSyncMatchesReference) {
   const int n = 15;
   Grid3 initial = make_initial(n);
   PipelineConfig pc;
+  pc.steps_per_thread = 1;
   pc.teams = 1;
   pc.team_size = 4;
   pc.block = {4, 4, 4};

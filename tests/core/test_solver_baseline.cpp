@@ -163,6 +163,7 @@ TEST(Facade, IncrementalAdvanceEqualsOneShot) {
   cfg.variant = Variant::kPipelined;
   cfg.pipeline.teams = 2;
   cfg.pipeline.team_size = 2;
+  cfg.pipeline.steps_per_thread = 1;
   cfg.pipeline.block = {5, 4, 4};
   const int depth = cfg.pipeline.levels_per_sweep();
 
@@ -183,6 +184,7 @@ TEST(Facade, MixedChunksIncludingRemainders) {
   cfg.variant = Variant::kPipelined;
   cfg.pipeline.teams = 1;
   cfg.pipeline.team_size = 3;  // depth 3
+  cfg.pipeline.steps_per_thread = 1;
   cfg.pipeline.block = {4, 4, 4};
   StencilSolver solver(cfg, initial);
   solver.advance(2);  // remainder only
@@ -198,6 +200,7 @@ TEST(Facade, CompressedVariantViaFacade) {
   cfg.variant = Variant::kPipelined;
   cfg.pipeline.teams = 1;
   cfg.pipeline.team_size = 2;
+  cfg.pipeline.steps_per_thread = 1;
   cfg.pipeline.scheme = GridScheme::kCompressed;
   cfg.pipeline.block = {4, 4, 4};
   StencilSolver solver(cfg, initial);
@@ -214,6 +217,7 @@ TEST(Facade, StatsAccumulateAcrossPhases) {
   cfg.variant = Variant::kPipelined;
   cfg.pipeline.teams = 1;
   cfg.pipeline.team_size = 2;  // depth 2
+  cfg.pipeline.steps_per_thread = 1;
   cfg.pipeline.block = {4, 4, 4};
   StencilSolver solver(cfg, initial);
   const RunStats st = solver.advance(5);  // 2 sweeps + 1 remainder
@@ -256,6 +260,7 @@ TEST(Compressed, StorageIsAboutHalfOfTwoGrid) {
 
 TEST(Compressed, ShapeMismatchThrows) {
   PipelineConfig pc;
+  pc.steps_per_thread = 1;
   pc.team_size = 2;
   pc.scheme = GridScheme::kCompressed;
   pc.block = {4, 4, 4};
@@ -268,6 +273,7 @@ TEST(Compressed, ShapeMismatchThrows) {
 
 TEST(Compressed, RequiresCompressedScheme) {
   PipelineConfig pc;  // defaults to kTwoGrid
+  pc.steps_per_thread = 1;
   EXPECT_THROW(CompressedSolver<JacobiOp>(pc, 10, 10, 10),
                std::invalid_argument);
   pc.scheme = GridScheme::kCompressed;

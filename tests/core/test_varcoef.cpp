@@ -114,6 +114,7 @@ TEST(VarCoef, ConductiveSlabCarriesMoreHeatInward) {
   const int sweeps = 100;
   auto solve_with = [&](const Grid3& kappa) {
     PipelineConfig pc;
+    pc.steps_per_thread = 1;
     pc.teams = 1;
     pc.team_size = 2;
     pc.block = {n, 6, 6};
@@ -133,6 +134,7 @@ TEST(VarCoef, ConductiveSlabCarriesMoreHeatInward) {
 
 TEST(VarCoef, RejectsCompressedScheme) {
   PipelineConfig pc;
+  pc.steps_per_thread = 1;
   pc.scheme = GridScheme::kCompressed;
   Grid3 kappa(8, 8, 8);
   kappa.fill(1.0);

@@ -249,7 +249,8 @@ TEST(LbmDecomposition, RejectsSubdomainThinnerThanHaloOnEveryRank) {
   simnet::World world(2);
   DistConfig cfg;
   cfg.proc_dims = {2, 1, 1};
-  cfg.pipeline.team_size = 4;  // h = 4
+  cfg.pipeline.team_size = 4;
+  cfg.pipeline.steps_per_thread = 1;  // h = 4
   EXPECT_THROW(world.run([&](simnet::Comm& comm) {
                  auto solver = make_distributed("dist:lbm", comm, cfg,
                                                 initial);
@@ -273,6 +274,7 @@ TEST(Distributed, GatherReassemblesOwnedCells) {
   const core::Grid3 initial = make_initial(18);
   DistConfig cfg;
   cfg.proc_dims = {2, 2, 1};
+  cfg.pipeline.steps_per_thread = 1;
   simnet::World world(4);
   core::Grid3 out = initial.clone();
   world.run([&](simnet::Comm& comm) {
@@ -288,6 +290,7 @@ TEST(Distributed, AdvanceReportsLevelsAndVolume) {
   DistConfig cfg;
   cfg.proc_dims = {2, 1, 1};
   cfg.pipeline.team_size = 2;  // h = 2
+  cfg.pipeline.steps_per_thread = 1;
   simnet::World world(2);
   world.run([&](simnet::Comm& comm) {
     DistributedStencil solver(core::Operator::kJacobi, comm, cfg, initial);
@@ -306,9 +309,58 @@ TEST(Distributed, UnevenPartitionBitIdentical) {
   DistConfig cfg;
   cfg.proc_dims = {2, 2, 1};
   cfg.pipeline.team_size = 2;  // h = 2
+  cfg.pipeline.steps_per_thread = 1;
   core::Grid3 result = initial.clone();
   run_distributed_named("jacobi", 4, cfg, initial, 2, &result);
   tb::test::expect_grids_bitwise_equal(result, reference_result(initial, 4));
+}
+
+TEST(Distributed, UnsetDepthIsTheModelsChoiceOnEveryRank) {
+  // The halo width is n*t*T with T = resolve_depth's choice capped by
+  // the thinnest share (8 cells); the choice reads only global inputs,
+  // so the ranks agree on it.
+  const core::Grid3 initial = make_initial(18);
+  DistConfig cfg;
+  cfg.proc_dims = {2, 1, 1};
+  cfg.pipeline.team_size = 1;
+  cfg.pipeline.block = {18, 8, 8};
+  core::PipelineConfig want = cfg.pipeline;
+  core::resolve_depth(want, "jacobi", 8);
+  const int h = want.levels_per_sweep();
+  simnet::World world(2);
+  core::Grid3 result = initial.clone();
+  world.run([&](simnet::Comm& comm) {
+    DistributedStencil solver(core::Operator::kJacobi, comm, cfg, initial);
+    EXPECT_EQ(solver.halo(), h);
+    EXPECT_EQ(solver.advance(2).levels, 2 * h);
+    solver.gather(comm.rank() == 0 ? &result : nullptr);
+  });
+  tb::test::expect_grids_bitwise_equal(result,
+                                       reference_result(initial, 2 * h));
+}
+
+TEST(Distributed, UnsetDepthFitsTheThinnestSubdomain) {
+  // 20 interior cells over 2 ranks at t = 4: T = 1 gives h = 4 within
+  // the 10-cell shares, so the unset depth may not pick a T whose halo
+  // (16 at T = 4) is thicker than a share.
+  const core::Grid3 initial = make_initial(22);
+  DistConfig cfg;
+  cfg.proc_dims = {2, 1, 1};
+  cfg.pipeline.team_size = 4;
+  cfg.pipeline.block = {22, 8, 8};
+  core::PipelineConfig want = cfg.pipeline;
+  core::resolve_depth(want, "jacobi", 10);
+  const int h = want.levels_per_sweep();
+  ASSERT_LE(h, 10);
+  simnet::World world(2);
+  core::Grid3 result = initial.clone();
+  world.run([&](simnet::Comm& comm) {
+    DistributedStencil solver(core::Operator::kJacobi, comm, cfg, initial);
+    EXPECT_EQ(solver.halo(), h);
+    solver.advance(1);
+    solver.gather(comm.rank() == 0 ? &result : nullptr);
+  });
+  tb::test::expect_grids_bitwise_equal(result, reference_result(initial, h));
 }
 
 TEST(Distributed, RejectsBadGeometry) {
@@ -317,6 +369,7 @@ TEST(Distributed, RejectsBadGeometry) {
   DistConfig cfg;
   cfg.proc_dims = {2, 2, 2};
   cfg.pipeline.team_size = 8;  // h = 8 > 4 owned cells per rank
+  cfg.pipeline.steps_per_thread = 1;
   EXPECT_THROW(world.run([&](simnet::Comm& comm) {
                  DistributedStencil solver(core::Operator::kJacobi, comm,
                                            cfg, initial);
@@ -333,7 +386,8 @@ TEST(Distributed, RejectsThinUnevenPartitionOnEveryRank) {
   simnet::World world(2);
   DistConfig cfg;
   cfg.proc_dims = {2, 1, 1};
-  cfg.pipeline.team_size = 4;  // h = 4
+  cfg.pipeline.team_size = 4;
+  cfg.pipeline.steps_per_thread = 1;  // h = 4
   EXPECT_THROW(world.run([&](simnet::Comm& comm) {
                  DistributedStencil solver(core::Operator::kJacobi, comm,
                                            cfg, initial);

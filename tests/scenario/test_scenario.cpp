@@ -217,6 +217,48 @@ TEST(ScenarioEngine, CasesBitIdenticalToFreshSolvers) {
   EXPECT_GT(engine.session().solvers_reused(), 0u);
 }
 
+TEST(ScenarioEngine, RunCaseAndHandBuiltRequestShareOnePooledSolver) {
+  // perfbench's replay contract: a request built field by field like
+  // config_for, depth left unset, resolves to the plan run_case ran and
+  // hits its pooled solver.
+  for (const auto& [variant, steps, depth] :
+       {std::tuple{"pipelined", 16, 4}, std::tuple{"compressed", 16, 4},
+        std::tuple{"pipelined", 8, 2}}) {
+    CaseSpec spec;
+    spec.name = std::string(variant) + "/" + std::to_string(steps);
+    spec.variant = variant;
+    spec.op = "jacobi";
+    spec.nx = spec.ny = spec.nz = 14;
+    spec.steps = steps;
+    spec.threads = 4;
+    spec.initial = "hot-face";
+
+    ScenarioEngine engine;
+    const CaseResult first = engine.run_case(spec);
+    EXPECT_NE(first.resolved_config.find("T=" + std::to_string(depth)),
+              std::string::npos)
+        << spec.name << ": " << first.resolved_config;
+
+    const core::Grid3 initial = make_initial(spec);
+    core::SolveRequest req;
+    req.variant = spec.variant;
+    req.op = spec.op;
+    req.cfg.pipeline.teams = 1;
+    req.cfg.pipeline.team_size = spec.threads;
+    req.cfg.pipeline.block = {spec.nx, 16, 16};
+    req.cfg.baseline.threads = spec.threads;
+    req.cfg.wavefront.threads = spec.threads;
+    req.cfg.lbm.omega = spec.omega;
+    req.cfg.lbm.lid_velocity = {spec.ulid, 0.0, 0.0};
+    req.cfg.lbm_geometry_from_aux = geometry_is_codes(spec);
+    req.initial = &initial;
+    req.steps = spec.steps;
+    const core::SolveResult replay = engine.session().solve(req);
+    EXPECT_TRUE(replay.reused) << spec.name;
+    EXPECT_EQ(engine.session().pool_size(), 1u) << spec.name;
+  }
+}
+
 CaseSpec small_case(const std::string& initial, int threads) {
   CaseSpec spec;
   spec.nx = 13;

@@ -6,6 +6,7 @@
 
 #include "topo/machine.hpp"
 #include "topo/placement.hpp"
+#include "util/aligned_buffer.hpp"
 
 namespace tb::topo {
 
@@ -85,10 +86,28 @@ TEST_P(TouchPages, HandlesEmptyAndTiny) {
   EXPECT_EQ(one[0], 0.0);
 }
 
+TEST_P(TouchPages, ZeroesEveryHugePageUnitFromAnUnalignedStart) {
+  // Two and a bit 2 MiB units, starting mid-unit: the first and last
+  // units are partial.
+  const std::size_t n = 2 * util::kHugePageBytes / sizeof(double) + 1000;
+  ASSERT_EQ(placement_unit_bytes(n), util::kHugePageBytes);
+  std::vector<double> data(n + 3, -1.0);
+  touch_pages(data.data() + 3, n, GetParam(), 3);
+  for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(data[i], -1.0);
+  for (std::size_t i = 3; i < data.size(); ++i) ASSERT_EQ(data[i], 0.0) << i;
+}
+
 INSTANTIATE_TEST_SUITE_P(AllPolicies, TouchPages,
                          ::testing::Values(PagePlacement::kFirstTouch,
                                            PagePlacement::kRoundRobin,
                                            PagePlacement::kSerial));
+
+TEST(Placement, UnitIsTheHugePageFromAlignedBuffersHugeThreshold) {
+  const std::size_t huge = util::kHugePageBytes / sizeof(double);
+  EXPECT_EQ(placement_unit_bytes(1), kPageBytes);
+  EXPECT_EQ(placement_unit_bytes(huge - 1), kPageBytes);
+  EXPECT_EQ(placement_unit_bytes(huge), util::kHugePageBytes);
+}
 
 TEST(PageDomain, RoundRobinInterleaves) {
   const std::size_t per_page = kPageBytes / sizeof(double);
