@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -57,16 +58,16 @@ double best_mlups(long long lups_per_call, F&& fn, double min_seconds) {
   return best;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(const tb::util::Args& args) {
   using namespace tb;
-  const util::Args args(argc, argv);
-  const int nrow = static_cast<int>(args.get_int("row_n", 1 << 20));
-  const int n = static_cast<int>(args.get_int("n", 128));
-  const int lbm_n = static_cast<int>(args.get_int("lbm_n", 64));
-  const int steps = static_cast<int>(args.get_int("steps", 4));
-  const double min_s = args.get_double("min_seconds", 0.4);
+  const int nrow = args.get_int("row_n", 1 << 20, "cells of the row/* row");
+  const int n = args.get_int("n", 128, "grid extent of baseline/*");
+  const int lbm_n = args.get_int("lbm_n", 64, "grid extent of baseline/lbm*");
+  const int steps = args.get_int("steps", 4, "time levels per sample");
+  const double min_s = args.get_double(
+      "min_seconds", 0.4, "sampling time per kernel (best of >= 3)");
+  args.finish();
+  if (nrow < 1) throw std::invalid_argument("--row_n must be >= 1");
 
   const topo::MachineSpec host = topo::host_machine();
   const perfmodel::NodeModel model(host);
@@ -180,3 +181,7 @@ int main(int argc, char** argv) {
   obs::write_bench_json("kernels", report);
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return tb::util::run_main(argc, argv, run); }

@@ -21,9 +21,14 @@
 #include "util/args.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
-  const tb::util::Args args(argc, argv);
-  const int n = static_cast<int>(args.get_int("n", 300));
+namespace {
+
+int run(const tb::util::Args& args) {
+  const int n = args.get_int("n", 300, "simulated cubic grid extent");
+  const int hn = args.get_int("host_n", 64, "grid extent of the host runs");
+  const int hsteps = args.get_int("host_steps", 8, "steps per host sample");
+  const int threads = args.get_int("threads", 2, "threads of the host runs");
+  args.finish();
   const std::array<int, 3> grid{n, n, n};
 
   tb::sim::SimMachine socket = tb::sim::nehalem(1), node = tb::sim::nehalem(2);
@@ -106,9 +111,6 @@ int main(int argc, char** argv) {
   // rows should land well above the two-lattice ones on any
   // memory-bound host.  Emitted as BENCH_lbm.json for the CI perf gate.
   {
-    const int hn = static_cast<int>(args.get_int("host_n", 64));
-    const int hsteps = static_cast<int>(args.get_int("host_steps", 8));
-    const int threads = static_cast<int>(args.get_int("threads", 2));
     tb::core::Grid3 initial(hn, hn, hn);
     initial.fill(1.0);
     tb::core::SolverConfig cfg;
@@ -154,3 +156,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return tb::util::run_main(argc, argv, run); }

@@ -2,9 +2,7 @@
 // Nehalem EP (sim/node_sim), the analytic models (perfmodel/), the
 // executing distributed solver on the in-process rank runtime, and two
 // short host measurements.
-//
-//   $ ./bench_paper [--section all|<name>] [--n N] [--operator OP]
-//                   [--csv PATH]
+// --section picks one of:
 //
 //   machine-model  Sec. 1.1/1.4: Nehalem parameters, Eq. (2), Eq. (5),
 //                  maximum thread distance
@@ -29,15 +27,14 @@
 //   overlap        Sec. 3 outlook: communication/computation overlap
 //                  -> overlap_model.csv (or --csv PATH; "" skips it)
 //
-// --n is the grid extent of the sections that take one (default 600, 66
-// for halo); blocksize and wavefront sweep fixed sizes.  --operator is
-// the halo section's stencil.  Files land in the working directory.
+// --n is the grid extent of the sections that take one (600, 66 for
+// halo, when unset); blocksize and wavefront sweep fixed sizes.  Files
+// land in the working directory.
 // The paper anchors these tables print are pinned by tests/sim and
 // tests/perfmodel.
 #include <algorithm>
 #include <array>
 #include <cstdio>
-#include <exception>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -729,28 +726,28 @@ constexpr Section kSections[] = {
     {"fig6", fig6},                   {"overlap", overlap},
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const util::Args args(argc, argv);
+int run(const util::Args& args) {
   std::vector<std::string> names{"all"};
   for (const Section& s : kSections) names.emplace_back(s.name);
-  try {
-    const std::string pick = args.get_choice("section", "all", names);
-    const Opts o{static_cast<int>(args.get_int("n", 0)),
-                 args.get_choice("operator", "jacobi",
-                                 core::registered_operators()),
-                 args.get("csv", "overlap_model.csv")};
-    const char* sep = "";
-    for (const Section& s : kSections) {
-      if (pick != "all" && pick != s.name) continue;
-      std::printf("%s", sep);
-      sep = "\n";
-      s.run(o);
-    }
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "bench_paper: %s\n", e.what());
-    return 2;
+  const std::string pick =
+      args.get_choice("section", "all", names, "section to run, or all");
+  const Opts o{
+      args.get_int("n", 0, "grid extent (0: per section)"),
+      args.get_choice("operator", "jacobi", core::registered_operators(),
+                      "stencil of the halo section"),
+      args.get("csv", "overlap_model.csv",
+               "overlap section's CSV (\"\": none)")};
+  args.finish();
+  const char* sep = "";
+  for (const Section& s : kSections) {
+    if (pick != "all" && pick != s.name) continue;
+    std::printf("%s", sep);
+    sep = "\n";
+    s.run(o);
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, run); }

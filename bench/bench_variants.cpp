@@ -3,9 +3,6 @@
 // against the naive reference of the same operator, and emitted as
 // machine-readable BENCH_variants.json for the CI perf trajectory.
 //
-//   $ ./bench_variants [--n 64] [--steps 8] [--threads 2]
-//                      [--variant all|<name>] [--operator all|<name>]
-//
 // The bytes/LUP column is the modeled main-memory traffic per update:
 // 3 words (read + write + write-allocate) for a two-grid sweep, 2 words
 // when streaming stores or the compressed grid avoid the allocation,
@@ -47,34 +44,27 @@ double best_mlups(StencilSolver& solver, int steps, double min_seconds) {
   return best;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const tb::util::Args args(argc, argv);
-  const int n = static_cast<int>(args.get_int("n", 64));
-  const int steps = static_cast<int>(args.get_int("steps", 8));
-  const int threads = static_cast<int>(args.get_int("threads", 2));
-
+int run(const tb::util::Args& args) {
+  const int n = args.get_int("n", 64, "cubic grid extent");
+  const int steps = args.get_int("steps", 8, "time levels per run");
+  const int threads = args.get_int("threads", 2, "threads");
   std::vector<std::string> variants = registered_variants();
   std::vector<std::string> operators = registered_operators();
   {
     std::vector<std::string> any = variants;
     any.emplace_back("all");
-    const std::string v = args.get_choice("variant", "all", any);
+    const std::string v =
+        args.get_choice("variant", "all", any, "one variant, or all");
     if (v != "all") variants = {v};
     any = operators;
     any.emplace_back("all");
-    const std::string o = args.get_choice("operator", "all", any);
+    const std::string o =
+        args.get_choice("operator", "all", any, "one operator, or all");
     if (o != "all") operators = {o};
   }
+  args.finish();
 
-  const Grid3 initial = [&] {
-    Grid3 g(n, n, n);
-    g.fill(0.0);
-    for (int k = 0; k < n; ++k)
-      for (int j = 0; j < n; ++j) g.at(0, j, k) = 1.0;  // hot face
-    return g;
-  }();
+  const GridSource initial = hot_face_source(n, n, n);
   const Grid3 kappa = make_slab_kappa(n, n, n);
 
   std::printf("=== variant x operator matrix, %d^3 grid, %d steps ===\n\n",
@@ -137,3 +127,7 @@ int main(int argc, char** argv) {
               all_ok ? "yes" : "NO (bug!)");
   return all_ok ? 0 : 1;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return tb::util::run_main(argc, argv, run); }

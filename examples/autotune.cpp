@@ -4,10 +4,6 @@
 // tuning cache — then validate the chosen plan bit-identically against
 // the naive reference.
 //
-//   $ ./autotune [--n 64] [--operator jacobi] [--variant auto]
-//                [--top 4] [--probe-n 64] [--cache <path>] [--no-cache]
-//                [--machine host|nehalem|nehalem-socket|core2]
-//
 // A second invocation with the same problem and cache hits the
 // persistent cache and performs ZERO timed probes — the paper's "huge
 // parameter space" collapses to one file lookup.  --variant with a
@@ -36,31 +32,34 @@ tb::topo::MachineSpec pick_machine(const std::string& name) {
   return tb::topo::host_machine();
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const tb::util::Args args(argc, argv);
-  const int n = static_cast<int>(args.get_int("n", 64));
+int run(const tb::util::Args& args) {
+  const int n = args.get_int("n", 64, "cubic problem extent");
 
   tb::tune::Problem problem;
   problem.nx = problem.ny = problem.nz = n;
   problem.op = args.get_choice("operator", "jacobi",
-                               tb::core::registered_operators());
+                               tb::core::registered_operators(), "stencil");
   {
     std::vector<std::string> any = tb::core::registered_variants();
     any.emplace_back("auto");
-    const std::string v = args.get_choice("variant", "auto", any);
+    const std::string v = args.get_choice(
+        "variant", "auto", any, "constrain tuning to one variant");
     if (v != "auto") problem.variant = v;
   }
+  const std::string machine = args.get_choice(
+      "machine", "host", {"host", "nehalem", "nehalem-socket", "core2"},
+      "machine the model ranks for");
 
   tb::tune::PlanOptions opts;
-  opts.machine = pick_machine(args.get_choice(
-      "machine", "host", {"host", "nehalem", "nehalem-socket", "core2"}));
-  opts.shortlist_size = static_cast<int>(args.get_int("top", 4));
-  opts.probe.max_extent = static_cast<int>(args.get_int("probe-n", 64));
-  opts.use_cache = !args.get_bool("no-cache", false);
-  opts.cache_path = args.get("cache", "");
+  opts.machine = pick_machine(machine);
+  opts.shortlist_size = args.get_int("top", 4, "candidates the probes time");
+  opts.probe.max_extent =
+      args.get_int("probe-n", 64, "largest grid extent a probe runs");
+  opts.use_cache = !args.get_bool("no-cache", false, "ignore the cache");
+  opts.cache_path =
+      args.get("cache", "", "tuning cache file (\"\": the default path)");
   opts.verbose = true;
+  args.finish();
 #if defined(__unix__) || defined(__APPLE__)
   // Route the registry's "auto" resolver (used below for validation) to
   // the same cache file as the explicit plan() calls.
@@ -136,7 +135,7 @@ int main(int argc, char** argv) {
   // would silently re-tune under its own machine/cache options.
   const bool hook_replays_plan =
       problem.variant.empty() && opts.use_cache && m == n &&
-      args.get("machine", "host") == std::string("host");
+      machine == "host";
   std::printf("\nvalidation (%d^3, %d steps): ", m, steps);
   tb::core::StencilSolver tuned = [&] {
     if (hook_replays_plan)
@@ -154,3 +153,7 @@ int main(int argc, char** argv) {
               diff == 0.0 ? "(exact)" : "(MISMATCH!)");
   return diff == 0.0 ? 0 : 1;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return tb::util::run_main(argc, argv, run); }

@@ -1,10 +1,6 @@
 // Cluster-scaling example: the two simulated-cluster backends side by
 // side.
 //
-//   $ ./cluster_scaling [--n 66] [--epochs 3] [--T 2] [--t 2]
-//                       [--operator jacobi|varcoef|box27|redblack|lbm]
-//                       [--topology fat-tree|torus|cloud] [--ranks 4096]
-//
 // Part 1 runs the *executing* distributed solver on the in-process rank
 // runtime (tb::simnet::World, one thread per rank): domain decomposition,
 // multi-layer halo exchange along x->y->z, per-rank pipelined temporal
@@ -62,29 +58,27 @@ std::vector<int> sweep_ranks(int max_ranks) {
   return out;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const tb::util::Args args(argc, argv);
-  tb::util::StandardFlags flags;
-  flags.n = 66;
-  flags.ranks = 10000;
-  flags.parse(args);
-  const int n = flags.n;
-  const int epochs = static_cast<int>(args.get_int("epochs", 3));
-  const std::string op = args.get_choice("operator", "jacobi",
-                                         tb::core::registered_operators());
+int run(const tb::util::Args& args) {
+  const int n = args.get_int("n", 66, "global cubic grid extent (part 1)");
+  const int epochs = args.get_int("epochs", 3, "halo-exchange epochs");
+  tb::dist::DistConfig base_cfg;
+  base_cfg.pipeline.team_size = args.get_int("threads", 2, "threads per rank");
+  base_cfg.pipeline.steps_per_thread =
+      args.get_int("T", 2, "updates per thread and block");
+  const std::string op = args.get_choice(
+      "operator", "jacobi", tb::core::registered_operators(), "stencil");
   const std::string topology =
-      args.get_choice("topology", flags.topology, tb::topo::fabric_kinds());
+      args.get_choice("topology", "fat-tree", tb::topo::fabric_kinds(),
+                      "fabric of the modeled sweep (part 3)");
+  const int max_ranks =
+      args.get_int("ranks", 10000, "largest modeled rank count (part 3)");
+  args.finish();
 
   tb::core::Grid3 initial(n, n, n);
   tb::core::fill_test_pattern(initial);
   const tb::core::Grid3 kappa = tb::core::make_slab_kappa(n, n, n);
 
-  tb::dist::DistConfig base_cfg;
   base_cfg.pipeline.teams = 1;
-  base_cfg.pipeline.team_size = flags.threads;
-  base_cfg.pipeline.steps_per_thread = static_cast<int>(args.get_int("T", 2));
   base_cfg.pipeline.block = {16, 8, 8};
   base_cfg.pipeline.du = 3;
   base_cfg.proc_lups = 2.0e9;  // modeled per-rank rate
@@ -185,7 +179,7 @@ int main(int argc, char** argv) {
   // ---- Part 3: modeled weak-scaling sweep over the fabric -----------
   tb::simnet::event::ClusterSweepSpec spec;
   spec.topology = topology;
-  spec.ranks = sweep_ranks(std::max(flags.ranks, 8));
+  spec.ranks = sweep_ranks(std::max(max_ranks, 8));
   spec.weak = true;
   spec.n = 32;
   spec.halo = h;
@@ -230,3 +224,7 @@ int main(int argc, char** argv) {
       "stays the executing oracle — see README \"Simulated cluster\")\n");
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return tb::util::run_main(argc, argv, run); }

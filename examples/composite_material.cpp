@@ -2,76 +2,54 @@
 // block (insulating matrix with conductive fibers) solved with the
 // variable-coefficient stencil on the pipelined temporal-blocking engine.
 //
-//   $ ./composite_material [--n 48] [--steps 600] [--kfiber 100]
-//                          [--variant pipelined] [--vtk out.vtk]
-//   $ ./composite_material --scenario scenarios/composite.json
-//
 // Demonstrates that the paper's scheme is not Jacobi-specific: any update
 // reading only the 3^3 neighborhood of the previous level runs through
 // the same team pipeline (see core/stencil_op.hpp) — and through any
-// other registry variant selected with --variant.
+// other registry variant selected with --variant.  The fiber array is
+// the scenario engine's "fibers" geometry (scenario::aux_source), so this
+// run and scenarios/composite.json share one material field.
 #include <cstdio>
 
 #include "core/grid_io.hpp"
 #include "core/norms.hpp"
 #include "core/registry.hpp"
-#include "scenario/scenario_engine.hpp"
+#include "scenario/grids.hpp"
 #include "util/args.hpp"
 #include "util/timer.hpp"
 
 namespace {
 
-/// kappa field: background 1, an array of conductive square fibers
-/// running along x.
-tb::core::Grid3 fiber_material(int n, double k_fiber) {
-  tb::core::Grid3 kappa(n, n, n);
-  kappa.fill(1.0);
-  const int pitch = std::max(4, n / 4);
-  const int width = std::max(1, pitch / 3);
-  for (int k = 0; k < n; ++k)
-    for (int j = 0; j < n; ++j)
-      if (j % pitch < width && k % pitch < width)
-        for (int i = 0; i < n; ++i) kappa.at(i, j, k) = k_fiber;
-  return kappa;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  const tb::util::Args args(argc, argv);
-  tb::util::StandardFlags flags;
-  flags.n = 48;
-  flags.steps = 600;
-  flags.parse(args);
-  if (!flags.scenario.empty())
-    return tb::scenario::run_scenario_file(flags.scenario);
-  const int n = flags.n;
-  const double k_fiber = args.get_double("kfiber", 100.0);
-  const int steps_requested = flags.steps;
-
-  // Hot x = 0 face, cold everywhere else.
-  tb::core::Grid3 initial(n, n, n);
-  initial.fill(0.0);
-  for (int k = 0; k < n; ++k)
-    for (int j = 0; j < n; ++j) initial.at(0, j, k) = 1.0;
-
+int run(const tb::util::Args& args) {
+  tb::scenario::CaseSpec fibers;  // the material: varcoef over "fibers"
+  fibers.op = "varcoef";
+  fibers.geometry = "fibers";
+  const int n = args.get_int("n", 48, "cubic grid extent");
+  fibers.nx = fibers.ny = fibers.nz = n;
+  fibers.kfiber = args.get_double("kfiber", 100.0, "fiber conductivity");
+  const int steps_requested =
+      args.get_int("steps", 600, "time levels (whole team sweeps)");
   tb::core::SolverConfig cfg;
+  cfg.pipeline.team_size = args.get_int("threads", 2, "threads");
+  const std::string variant = args.get_choice(
+      "variant", "pipelined", tb::core::selectable_variants(), "schedule");
+  const std::string vtk =
+      args.get("vtk", "", "write the temperature field to this VTK file");
+  args.finish();
+
   cfg.pipeline.teams = 1;
-  cfg.pipeline.team_size = flags.threads;  // --t / --threads
   cfg.pipeline.steps_per_thread = 2;
   cfg.pipeline.block = {n, 12, 12};
   cfg.pipeline.du = 3;
   cfg.baseline.threads = cfg.pipeline.total_threads();
   cfg.wavefront.threads = cfg.pipeline.total_threads();
-  const std::string variant = args.get_choice(
-      "variant", "pipelined", tb::core::selectable_variants());
   const int steps =
       std::max(1, steps_requested / cfg.pipeline.levels_per_sweep()) *
       cfg.pipeline.levels_per_sweep();
 
-  const tb::core::Grid3 kappa = fiber_material(n, k_fiber);
+  // Hot x = 0 face, cold everywhere else.
   tb::core::StencilSolver solver =
-      make_solver(variant, "varcoef", cfg, initial, &kappa);
+      make_solver(variant, "varcoef", cfg, tb::core::hot_face_source(n, n, n),
+                  tb::scenario::aux_source(fibers));
 
   tb::util::Timer timer;
   const tb::core::RunStats st = solver.advance(steps);
@@ -80,13 +58,14 @@ int main(int argc, char** argv) {
   std::printf(
       "composite block %d^3 (%s), fiber kappa %.0f, %d steps: %.3f s, "
       "%.1f MLUP/s (host)\n",
-      n, variant.c_str(), k_fiber, st.levels, timer.elapsed(), st.mlups());
+      n, variant.c_str(), fibers.kfiber, st.levels, timer.elapsed(),
+      st.mlups());
 
   // Heat penetrates much deeper along the fibers.  Probe a fiber away
   // from the cold walls (fibers sit at multiples of the pitch) and a
   // matrix point at a comparable distance from the walls.
   const int deep = 3 * n / 4;
-  const int pitch = std::max(4, n / 4);
+  const int pitch = tb::scenario::fiber_pitch(n);
   const int jf = (n / 2 / pitch) * pitch;            // mid-domain fiber
   const double t_fiber = u.at(deep, jf, jf);
   const double t_matrix =
@@ -95,10 +74,11 @@ int main(int argc, char** argv) {
               deep, t_fiber, t_matrix,
               t_matrix > 0 ? t_fiber / t_matrix : 0.0);
 
-  if (args.has("vtk")) {
-    const std::string path = args.get("vtk", "composite.vtk");
-    if (tb::core::write_vtk(u, path, "temperature"))
-      std::printf("wrote %s\n", path.c_str());
-  }
+  if (!vtk.empty() && tb::core::write_vtk(u, vtk, "temperature"))
+    std::printf("wrote %s\n", vtk.c_str());
   return t_fiber > t_matrix ? 0 : 1;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return tb::util::run_main(argc, argv, run); }

@@ -2,10 +2,6 @@
 // convergence criterion, comparing every registry variant for both
 // correctness and host wall time.
 //
-//   $ ./heat_equation [--n 96] [--tol 1e-5] [--max-steps 2000]
-//                     [--variant all] [--operator jacobi]
-//   $ ./heat_equation --scenario scenarios/sweep.json
-//
 // The physical setup is a box with one hot face (x = 0, T = 1) and cold
 // walls elsewhere; the steady state is a smooth temperature gradient
 // (with --operator varcoef, through a conductive mid-height slab).
@@ -16,20 +12,11 @@
 #include <vector>
 
 #include "core/registry.hpp"
-#include "scenario/scenario_engine.hpp"
 #include "util/args.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
 namespace {
-
-tb::core::Grid3 hot_face_problem(int n) {
-  tb::core::Grid3 g(n, n, n);
-  g.fill(0.0);
-  for (int k = 0; k < n; ++k)
-    for (int j = 0; j < n; ++j) g.at(0, j, k) = 1.0;
-  return g;
-}
 
 struct Outcome {
   int steps = 0;
@@ -65,36 +52,32 @@ Outcome solve(tb::core::StencilSolver solver, const tb::core::Grid3& init,
   return out;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const tb::util::Args args(argc, argv);
-  tb::util::StandardFlags flags;
-  flags.n = 96;
-  flags.parse(args);
-  if (!flags.scenario.empty())
-    return tb::scenario::run_scenario_file(flags.scenario);
-  const int n = flags.n;
-  const double tol = args.get_double("tol", 1e-5);
-  const int max_steps = static_cast<int>(args.get_int("max-steps", 2000));
-  const int threads = flags.threads;
-
+int run(const tb::util::Args& args) {
+  const int n = args.get_int("n", 96, "cubic grid extent");
+  const double tol =
+      args.get_double("tol", 1e-5, "stop when a check changes T by less");
+  const int max_steps =
+      args.get_int("max-steps", 2000, "give up after this many steps");
+  const int threads = args.get_int("threads", 2, "threads");
   std::vector<std::string> variants = tb::core::registered_variants();
   {
     // Concrete names sweep; meta names ("auto") are selectable too.
     std::vector<std::string> any = tb::core::selectable_variants();
     any.emplace_back("all");
-    const std::string v = args.get_choice("variant", "all", any);
+    const std::string v = args.get_choice(
+        "variant", "all", any, "compared against reference, or all");
     if (v == "reference") {
       variants = {"reference"};
     } else if (v != "all") {
       variants = {"reference", v};  // reference anchors the comparison
     }
   }
-  const std::string op = args.get_choice("operator", "jacobi",
-                                         tb::core::registered_operators());
+  const std::string op = args.get_choice(
+      "operator", "jacobi", tb::core::registered_operators(), "stencil");
+  args.finish();
 
-  const tb::core::Grid3 init = hot_face_problem(n);
+  const tb::core::Grid3 init =
+      tb::core::hot_face_source(n, n, n).materialize();
   const tb::core::Grid3 kappa = tb::core::make_slab_kappa(n, n, n);
 
   tb::core::SolverConfig cfg;
@@ -143,3 +126,7 @@ int main(int argc, char** argv) {
               all_match ? "yes" : "NO (bug!)");
   return all_match ? 0 : 1;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return tb::util::run_main(argc, argv, run); }

@@ -2,10 +2,6 @@
 // application the paper announces as the follow-up to its Jacobi
 // prototype, now just `--operator lbm` on the unified solver stack.
 //
-//   $ ./lid_cavity [--n 32] [--steps 400] [--omega 1.2] [--ulid 0.05]
-//                  [--variant pipelined|compressed|wavefront|baseline|auto]
-//                  [--t 2] [--ranks 1]
-//
 // A cubic box of fluid, all walls no-slip except the top (z = max) lid
 // moving in +x.  Any scheme of the variant x operator matrix (including
 // the autotuned "auto") advances the same D3Q19 stream-collide update;
@@ -31,7 +27,6 @@
 #include "obs/obs.hpp"
 #include "obs/rundb.hpp"
 #include "perfmodel/cluster_model.hpp"  // dims_create
-#include "scenario/scenario_engine.hpp"
 #include "topo/machine.hpp"
 #include "util/args.hpp"
 
@@ -58,24 +53,20 @@ void print_profile(const tb::lbm::Lattice& result, int n, double ulid) {
                                                  : "");
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const tb::util::Args args(argc, argv);
-  tb::util::StandardFlags flags;
-  flags.n = 32;
-  flags.steps = 400;
-  flags.parse(args);
-  if (!flags.scenario.empty())
-    return tb::scenario::run_scenario_file(flags.scenario);
-  const int n = flags.n;
-  const int steps = flags.steps;
-  const int t = flags.threads;
-  const int ranks = static_cast<int>(args.get_int("ranks", 1));
-
+int run(const tb::util::Args& args) {
+  const int n = args.get_int("n", 32, "cubic lattice extent");
+  const int steps = args.get_int("steps", 400, "time steps to advance");
+  const int t = args.get_int("threads", 2, "threads");
+  const int ranks = args.get_int("ranks", 1, "ranks (> 1: dist:lbm)");
   tb::core::SolverConfig cfg;
-  cfg.lbm.omega = args.get_double("omega", 1.2);
-  cfg.lbm.lid_velocity = {args.get_double("ulid", 0.05), 0.0, 0.0};
+  cfg.lbm.omega = args.get_double("omega", 1.2, "relaxation rate");
+  cfg.lbm.lid_velocity = {args.get_double("ulid", 0.05, "lid speed (x)"),
+                          0.0, 0.0};
+  const std::string variant =
+      args.get_choice("variant", "pipelined", tb::core::selectable_variants(),
+                      "schedule (ignored with --ranks > 1)");
+  args.finish();
+
   cfg.pipeline.teams = 1;
   cfg.pipeline.team_size = t;
   cfg.pipeline.steps_per_thread = 2;
@@ -83,8 +74,6 @@ int main(int argc, char** argv) {
   cfg.pipeline.du = 3;
   cfg.baseline.threads = t;
   cfg.wavefront.threads = t;
-  const std::string variant = args.get_choice(
-      "variant", "pipelined", tb::core::selectable_variants());
 
   // Initial state: fluid at rest, unit density everywhere; the operator
   // derives the cavity geometry (closed box, moving top lid) from the
@@ -176,3 +165,7 @@ int main(int argc, char** argv) {
   print_profile(result, n, cfg.lbm.lid_velocity[0]);
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return tb::util::run_main(argc, argv, run); }

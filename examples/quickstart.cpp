@@ -1,64 +1,51 @@
 // Quickstart: solve a 3-D boundary value problem with pipelined temporal
 // blocking in ~40 lines.
 //
-//   $ ./quickstart [--n 128] [--steps 64] [--teams 1] [--threads 2] [--T T]
-//                  [--variant pipelined] [--operator jacobi]
-//   $ ./quickstart --scenario scenarios/quickstart.json
-//
 // Sets up a cubic domain with a hot x=0 face, advances `steps` sweeps of
 // the selected (variant, operator) combination — any registry pair works,
 // e.g. --variant wavefront --operator varcoef — and reports performance
 // and the center temperature; --T defaults to the model's depth for the
-// step count (core::resolve_depth).  With --scenario the flags are
-// ignored and the whole JSON case batch runs through the scenario engine
-// instead.
+// step count (core::resolve_depth).  The same problem as a JSON case
+// batch: `run_scenario --scenario scenarios/quickstart.json`.
 #include <cstdio>
-#include <stdexcept>
 
 #include "core/registry.hpp"
-#include "scenario/scenario_engine.hpp"
 #include "util/args.hpp"
 
 namespace {
 
 int run(const tb::util::Args& args) {
-  tb::util::StandardFlags flags;
-  flags.n = 128;
-  flags.steps = 64;
-  flags.parse(args);
-  if (!flags.scenario.empty())
-    return tb::scenario::run_scenario_file(flags.scenario);
-  const int n = flags.n;
-  const int steps = flags.steps;
-
-  // Initial condition: zero interior, hot (T = 1) face at x = 0.
-  tb::core::Grid3 initial(n, n, n);
-  initial.fill(0.0);
-  for (int k = 0; k < n; ++k)
-    for (int j = 0; j < n; ++j) initial.at(0, j, k) = 1.0;
-
-  // Configure the solver: one team of t threads sharing a cache, each
-  // performing T in-cache updates per block (see README for tuning).
-  // Without --T the performance model picks T for this step count.
+  // Teams of t threads sharing a cache, each performing T in-cache
+  // updates per block (see README for tuning).  Without --T the
+  // performance model picks T for the step count.
   tb::core::SolverConfig cfg;
-  cfg.pipeline.teams = static_cast<int>(args.get_int("teams", 1));
-  cfg.pipeline.team_size = flags.threads;  // --threads (alias --t)
-  cfg.pipeline.steps_per_thread = static_cast<int>(args.get_int("T", 0));
+  const int n = args.get_int("n", 128, "cubic grid extent");
+  const int steps = args.get_int("steps", 64, "time levels to advance");
+  cfg.pipeline.teams = args.get_int("teams", 1, "thread teams");
+  cfg.pipeline.team_size = args.get_int("threads", 2, "threads per team");
+  cfg.pipeline.steps_per_thread =
+      args.get_int("T", 0, "updates per thread and block (0: the model's)");
+  const std::string variant = args.get_choice(
+      "variant", "pipelined", tb::core::selectable_variants(), "schedule");
+  const std::string op = args.get_choice(
+      "operator", "jacobi", tb::core::registered_operators(), "stencil");
+  args.finish();
+
   cfg.pipeline.block = {n, 16, 16};
   cfg.pipeline.du = 4;
   cfg.baseline.threads = cfg.pipeline.total_threads();
   cfg.wavefront.threads = cfg.pipeline.total_threads();
-  tb::core::configure_from_args(cfg, args);  // --variant / --operator
-  tb::core::resolve_depth(cfg.pipeline, tb::core::operator_name(cfg), steps);
+  tb::core::apply_variant(cfg, variant);  // the depth depends on the scheme
+  tb::core::resolve_depth(cfg.pipeline, op, steps);
 
   // The varcoef operator diffuses through a material field; default to
   // the standard conductive slab across the domain's middle third.
   tb::core::Grid3 kappa;
-  if (cfg.op == tb::core::Operator::kVarCoef)
-    kappa = tb::core::make_slab_kappa(n, n, n);
+  if (op == "varcoef") kappa = tb::core::make_slab_kappa(n, n, n);
 
+  // Initial condition: zero interior, hot (T = 1) face at x = 0.
   tb::core::StencilSolver solver = tb::core::make_solver(
-      tb::core::variant_name(cfg), to_string(cfg.op), cfg, initial, &kappa);
+      variant, op, cfg, tb::core::hot_face_source(n, n, n), &kappa);
   const tb::core::RunStats stats = solver.advance(steps);
 
   // Report the *resolved* configuration: with --variant auto the solver
@@ -77,11 +64,4 @@ int run(const tb::util::Args& args) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  try {
-    return run(tb::util::Args(argc, argv));
-  } catch (const std::invalid_argument& err) {  // a bad flag value
-    std::fprintf(stderr, "quickstart: %s\n", err.what());
-    return 2;
-  }
-}
+int main(int argc, char** argv) { return tb::util::run_main(argc, argv, run); }

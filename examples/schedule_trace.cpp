@@ -1,7 +1,5 @@
 // Schedule trace: renders the paper's Fig. 1 from the *executing* engine.
 //
-//   $ ./schedule_trace [--t 3] [--teams 1] [--T 1] [--blocks 12] [--du 2]
-//
 // A tiny quasi-1-D domain is swept once; every window the engine hands to
 // a thread is recorded in arrival order.  The printed matrix has one row
 // per pipeline thread and one column per observed event: the entry is the
@@ -16,17 +14,20 @@
 #include "core/engine.hpp"
 #include "util/args.hpp"
 
-int main(int argc, char** argv) {
-  const tb::util::Args args(argc, argv);
-  tb::core::PipelineConfig cfg;
-  cfg.teams = static_cast<int>(args.get_int("teams", 1));
-  cfg.team_size = static_cast<int>(args.get_int("t", 3));
-  cfg.steps_per_thread = static_cast<int>(args.get_int("T", 1));
-  cfg.dl = static_cast<int>(args.get_int("dl", 1));
-  cfg.du = static_cast<int>(args.get_int("du", 2));
-  cfg.dt = static_cast<int>(args.get_int("dt", 0));
+namespace {
 
-  const int blocks = static_cast<int>(args.get_int("blocks", 12));
+int run(const tb::util::Args& args) {
+  tb::core::PipelineConfig cfg;
+  cfg.teams = args.get_int("teams", 1, "thread teams");
+  cfg.team_size = args.get_int("threads", 3, "threads per team");
+  cfg.steps_per_thread = args.get_int("T", 1, "updates per thread and block");
+  cfg.dl = args.get_int("dl", 1, "minimum thread distance");
+  cfg.du = args.get_int("du", 2, "maximum thread distance");
+  cfg.dt = args.get_int("dt", 0, "team delay");
+  const int blocks = args.get_int("blocks", 12, "blocks along x");
+  const int max_events = args.get_int("events", 36, "event columns printed");
+  args.finish();
+
   const int bx = 4;
   cfg.block = {bx, 64, 64};  // quasi-1-D: one block column in y and z
   const int nx = blocks * bx + 2;
@@ -70,9 +71,7 @@ int main(int argc, char** argv) {
     }
   }
   const std::size_t cols =
-      std::min<std::size_t>(events.size(),
-                            static_cast<std::size_t>(
-                                args.get_int("events", 36)));
+      std::min(events.size(), static_cast<std::size_t>(max_events));
   for (int p = 0; p < threads; ++p) {
     std::printf("t%-2d |", p + 1);
     for (std::size_t e = 0; e < cols; ++e)
@@ -103,3 +102,7 @@ int main(int argc, char** argv) {
               ok ? "yes" : "NO (bug!)");
   return ok ? 0 : 1;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return tb::util::run_main(argc, argv, run); }

@@ -12,6 +12,7 @@
 // the source (it is read during the call the source is passed to).
 #pragma once
 
+#include <algorithm>
 #include <cstring>
 #include <functional>
 #include <utility>
@@ -87,6 +88,15 @@ class GridSource {
   return {nx, ny, nz, [nx, wave_x = std::move(wave_x)](int j, int k,
                                                        double* row) {
             detail::test_pattern_row(wave_x.data(), nx, j, k, 1.0, row);
+          }};
+}
+
+/// Zero bulk with a unit x = 0 face: the Dirichlet drive of the heat
+/// examples and of the scenario engine's "hot-face" initial condition.
+[[nodiscard]] inline GridSource hot_face_source(int nx, int ny, int nz) {
+  return {nx, ny, nz, [nx](int, int, double* row) {
+            std::fill_n(row, nx, 0.0);
+            row[0] = 1.0;
           }};
 }
 

@@ -4,8 +4,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "util/args.hpp"
-
 namespace tb::core {
 
 namespace {
@@ -181,15 +179,6 @@ std::string variant_name(const SolverConfig& cfg) {
       cfg.pipeline.scheme == GridScheme::kCompressed)
     return "compressed";
   return to_string(cfg.variant);
-}
-
-void configure_from_args(SolverConfig& cfg, const util::Args& args) {
-  const std::string variant = args.get_choice("variant", variant_name(cfg),
-                                              selectable_variants());
-  const std::string op = args.get_choice("operator", operator_name(cfg),
-                                         registered_operators());
-  apply_variant(cfg, variant);  // validated by get_choice
-  apply_operator(cfg, op);
 }
 
 StencilSolver make_solver(std::string_view variant, std::string_view op,

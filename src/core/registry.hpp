@@ -37,10 +37,6 @@
 
 #include "core/solver.hpp"
 
-namespace tb::util {
-class Args;
-}
-
 namespace tb::core {
 
 // ---- meta variants ----------------------------------------------------
@@ -134,11 +130,6 @@ bool apply_operator(SolverConfig& cfg, std::string_view name);
 /// Registry name of the configured operator ("lbm:aa" when the lbm
 /// operator uses the in-place AA storage policy).
 [[nodiscard]] std::string operator_name(const SolverConfig& cfg);
-
-/// Applies the standard --variant / --operator command-line flags to a
-/// config.  Throws std::invalid_argument naming the valid choices when a
-/// flag value is not in the registry.
-void configure_from_args(SolverConfig& cfg, const util::Args& args);
 
 /// Constructs a solver from registry names.  `initial` is a grid or any
 /// GridSource.  `kappa` (a grid, a source, or nullptr / empty for none)

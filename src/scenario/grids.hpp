@@ -41,10 +41,7 @@ namespace tb::scenario {
     return {nx, spec.ny, spec.nz,
             [nx](int, int, double* row) { std::fill_n(row, nx, 1.0); }};
   if (spec.initial == "hot-face")
-    return {nx, spec.ny, spec.nz, [nx](int, int, double* row) {
-              std::fill_n(row, nx, 0.0);
-              row[0] = 1.0;
-            }};
+    return core::hot_face_source(nx, spec.ny, spec.nz);
   throw std::invalid_argument("scenario: unknown initial \"" +
                               spec.initial + "\"");
 }
@@ -59,6 +56,12 @@ namespace tb::scenario {
 [[nodiscard]] inline bool geometry_is_codes(const CaseSpec& spec) {
   const std::string g = resolve_geometry(spec);
   return g == "cavity" || g == "obstacle";
+}
+
+/// Spacing of the "fibers" geometry's fiber array along y and z for a
+/// grid `extent` cells wide: fibers start at multiples of it.
+[[nodiscard]] inline int fiber_pitch(int extent) {
+  return std::max(4, extent / 4);
 }
 
 /// The auxiliary field of the case as a row source, empty when the
@@ -95,7 +98,7 @@ namespace tb::scenario {
       return {nx, ny, nz, [nx, nz](int, int k, double* row) {
                 std::fill_n(row, nx, core::slab_kappa(nz, k));
               }};
-    const int pitch = std::max(4, ny / 4);
+    const int pitch = fiber_pitch(ny);
     const int width = std::max(1, pitch / 3);
     return {nx, ny, nz,
             [nx, pitch, width, kfiber = spec.kfiber](int j, int k,

@@ -112,6 +112,9 @@ std::string generate_name(const CaseSpec& spec) {
   return os.str();
 }
 
+/// Bounds what "repeat" and sweep lists make the loader allocate.
+constexpr std::size_t kMaxCases = 10000;
+
 /// Recursive cross-product expansion over the sweepable keys of one
 /// merged case object.  `entries` is the merged (defaults-then-case)
 /// key/value list; `axis` indexes the entry currently being unrolled.
@@ -153,6 +156,9 @@ void expand(const json::Object& entries, std::size_t axis, CaseSpec spec,
     base += '/';
     base += generate_name(spec);
   }
+  if (out.size() + static_cast<std::size_t>(repeat) > kMaxCases)
+    throw std::invalid_argument("scenario: expands to more than " +
+                                std::to_string(kMaxCases) + " cases");
   spec.repeat_count = repeat;
   for (int r = 0; r < repeat; ++r) {
     spec.repeat_index = r;

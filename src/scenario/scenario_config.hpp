@@ -97,7 +97,8 @@ class ScenarioConfig {
 
   /// Parses + expands `text`; `origin` labels error messages.  Replaces
   /// any previously loaded scenario.  Throws std::runtime_error on
-  /// malformed JSON and std::invalid_argument on schema violations.
+  /// malformed JSON and std::invalid_argument on schema violations,
+  /// including an expansion to more than 10000 cases.
   void load_text(const std::string& text,
                  const std::string& origin = "<string>");
 

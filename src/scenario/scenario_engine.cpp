@@ -1,7 +1,6 @@
 #include "scenario/scenario_engine.hpp"
 
 #include <cstdio>
-#include <exception>
 #include <utility>
 
 #include "core/registry.hpp"
@@ -125,41 +124,35 @@ std::vector<CaseResult> ScenarioEngine::run(const ScenarioConfig& config) {
   return results;
 }
 
-int run_scenario_file(const std::string& path,
-                      const std::string& tune_cache,
-                      const std::vector<IScenarioConsumer*>& consumers) {
-  try {
-    ScenarioConfig config;
-    for (IScenarioConsumer* c : consumers) config.register_consumer(c);
-    // Consumer sections (cluster sweeps etc.) run during the load.
-    config.load_file(path);
+void run_scenario_file(const std::string& path,
+                       const std::string& tune_cache,
+                       const std::vector<IScenarioConsumer*>& consumers) {
+  ScenarioConfig config;
+  for (IScenarioConsumer* c : consumers) config.register_consumer(c);
+  // Consumer sections (cluster sweeps etc.) run during the load.
+  config.load_file(path);
 
-    EngineOptions opts;
-    opts.print_cases = true;
-    opts.session.tune_cache_path = tune_cache;
-    ScenarioEngine engine(opts);
+  EngineOptions opts;
+  opts.print_cases = true;
+  opts.session.tune_cache_path = tune_cache;
+  ScenarioEngine engine(opts);
 
-    std::printf("scenario %s: %zu cases\n", config.name().c_str(),
-                config.cases().size());
-    const std::vector<CaseResult> results = engine.run(config);
+  std::printf("scenario %s: %zu cases\n", config.name().c_str(),
+              config.cases().size());
+  const std::vector<CaseResult> results = engine.run(config);
 
-    double wall = 0.0, advance = 0.0;
-    for (const CaseResult& r : results) {
-      wall += r.wall_seconds;
-      advance += r.stats.seconds;
-    }
-    const core::SolverSession& session = engine.session();
-    std::printf(
-        "scenario %s done: %zu cases in %.3f s wall (%.3f s advance), "
-        "%llu solvers built, %llu pool hits\n",
-        config.name().c_str(), results.size(), wall, advance,
-        static_cast<unsigned long long>(session.solvers_created()),
-        static_cast<unsigned long long>(session.solvers_reused()));
-    return 0;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "scenario: %s\n", e.what());
-    return 1;
+  double wall = 0.0, advance = 0.0;
+  for (const CaseResult& r : results) {
+    wall += r.wall_seconds;
+    advance += r.stats.seconds;
   }
+  const core::SolverSession& session = engine.session();
+  std::printf(
+      "scenario %s done: %zu cases in %.3f s wall (%.3f s advance), "
+      "%llu solvers built, %llu pool hits\n",
+      config.name().c_str(), results.size(), wall, advance,
+      static_cast<unsigned long long>(session.solvers_created()),
+      static_cast<unsigned long long>(session.solvers_reused()));
 }
 
 }  // namespace tb::scenario

@@ -58,15 +58,15 @@ class ScenarioEngine {
   std::string scenario_name_ = "unnamed";  ///< tags the run rows
 };
 
-/// Convenience entry the runner and the scenario-capable examples
-/// share: load `path`, run every case with per-case stdout lines and a
-/// summary, return a process exit code (0 ok, 1 on any error, printed
-/// to stderr).  `tune_cache` seeds SessionOptions::tune_cache_path.
-/// `consumers` are registered on the config before loading, so files
-/// may carry their sections (e.g. "cluster" sweeps); a file consisting
-/// only of consumer sections runs zero solver cases, which is fine.
-int run_scenario_file(const std::string& path,
-                      const std::string& tune_cache = {},
-                      const std::vector<IScenarioConsumer*>& consumers = {});
+/// The runner's entry: load `path`, run every case with per-case stdout
+/// lines and a summary.  Throws on a bad file (std::invalid_argument for
+/// schema violations, std::runtime_error otherwise) or a failed case.
+/// `tune_cache` seeds SessionOptions::tune_cache_path.  `consumers` are
+/// registered on the config before loading, so files may carry their
+/// sections (e.g. "cluster" sweeps); a file consisting only of consumer
+/// sections runs zero solver cases, which is fine.
+void run_scenario_file(const std::string& path,
+                       const std::string& tune_cache = {},
+                       const std::vector<IScenarioConsumer*>& consumers = {});
 
 }  // namespace tb::scenario

@@ -1,19 +1,33 @@
-// Minimal command-line flag parser for examples and bench drivers.
+// Command-line flags, and the one shape of every example and bench main:
 //
-// Supports `--name value` and `--name=value` forms plus boolean switches.
-// Every flag is stored as given: a flag no accessor asks for is silently
-// ignored, and nothing reports it.  A number flag must be a number as a
-// whole ("12abc" is not 12); the typed accessors throw
-// std::invalid_argument naming the flag otherwise.
+//   int run(const tb::util::Args& args) {
+//     const int n = args.get_int("n", 64, "grid extent");  // default, help
+//     args.finish();  // before any work: an unread flag is an error
+//     ...
+//   }
+//   int main(int argc, char** argv) {
+//     return tb::util::run_main(argc, argv, run);
+//   }
+//
+// Flags are `--name value`, `--name=value` or bare switches; a number
+// must be one as a whole ("12abc" is not 12).  run_main turns `--help`
+// into the listing of the flags read before finish() (exit 0, nothing
+// runs), a std::invalid_argument into `prog: message` with exit 2, and
+// any other std::exception (std::bad_alloc too) into exit 1.
 #pragma once
 
+#include <algorithm>
 #include <charconv>
 #include <cstdint>
+#include <cstdio>
+#include <exception>
+#include <functional>
 #include <map>
-#include <optional>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace tb::util {
@@ -21,6 +35,10 @@ namespace tb::util {
 /// Parsed command-line arguments with typed accessors and defaults.
 class Args {
  public:
+  /// What finish() throws on `--help`.  Not a std::exception, so no catch
+  /// block of a main swallows it.
+  struct Help {};
+
   Args(int argc, const char* const* argv) {
     for (int i = 1; i < argc; ++i) {
       std::string a = argv[i];
@@ -38,35 +56,46 @@ class Args {
         kv_[a] = "true";  // boolean switch
       }
     }
+    help_ = kv_.erase("help") > 0;
   }
 
   [[nodiscard]] bool has(const std::string& key) const {
+    read_.insert(key);
     return kv_.contains(key);
   }
 
   [[nodiscard]] std::string get(const std::string& key,
-                                const std::string& def) const {
-    const auto it = kv_.find(key);
-    return it == kv_.end() ? def : it->second;
+                                const std::string& def,
+                                const std::string& help = {}) const {
+    const std::string* v = value(key, def.empty() ? "\"\"" : def, help);
+    return v != nullptr ? *v : def;
   }
 
-  [[nodiscard]] std::int64_t get_int(const std::string& key,
-                                     std::int64_t def) const {
-    const auto it = kv_.find(key);
-    if (it == kv_.end()) return def;
-    return parse_number<std::int64_t>(key, it->second, "an integer");
+  /// Integer flag of the default's type (int, std::int64_t, ...): a
+  /// value outside that type's range is rejected like a malformed one.
+  template <class T>
+  [[nodiscard]] T get_int(const std::string& key, T def,
+                          const std::string& help = {}) const {
+    static_assert(std::is_integral_v<T>);
+    const std::string* v = value(key, std::to_string(def), help);
+    return v != nullptr ? parse_number<T>(key, *v, "an integer") : def;
   }
 
-  [[nodiscard]] double get_double(const std::string& key, double def) const {
-    const auto it = kv_.find(key);
-    if (it == kv_.end()) return def;
-    return parse_number<double>(key, it->second, "a number");
+  [[nodiscard]] double get_double(const std::string& key, double def,
+                                  const std::string& help = {}) const {
+    std::ostringstream shown;
+    shown << def;
+    const std::string* v = value(key, shown.str(), help);
+    return v != nullptr ? parse_number<double>(key, *v, "a number") : def;
   }
 
-  [[nodiscard]] bool get_bool(const std::string& key, bool def) const {
-    const auto it = kv_.find(key);
-    if (it == kv_.end()) return def;
-    return it->second == "true" || it->second == "1" || it->second == "yes";
+  [[nodiscard]] bool get_bool(const std::string& key, bool def,
+                              const std::string& help = {}) const {
+    const std::string* v = value(key, def ? "true" : "false", help);
+    if (v == nullptr) return def;
+    if (*v == "true" || *v == "1" || *v == "yes") return true;
+    if (*v == "false" || *v == "0" || *v == "no") return false;
+    throw std::invalid_argument("--" + key + "=" + *v + " is not a boolean");
   }
 
   /// Validated enumeration flag (the shared --variant / --operator
@@ -75,25 +104,28 @@ class Args {
   /// valid choices otherwise.
   [[nodiscard]] std::string get_choice(
       const std::string& key, const std::string& def,
-      const std::vector<std::string>& allowed) const {
-    const std::string value = get(key, def);
-    for (const std::string& a : allowed)
-      if (value == a) return value;
-    std::ostringstream os;
-    os << "--" << key << "=" << value << " is not a valid choice (use ";
-    for (std::size_t i = 0; i < allowed.size(); ++i)
-      os << (i ? "|" : "") << allowed[i];
-    os << ")";
-    throw std::invalid_argument(os.str());
+      const std::vector<std::string>& allowed,
+      const std::string& help = {}) const {
+    const std::string names = join(allowed, "|");
+    const std::string* v = value(
+        key, def, (help.empty() ? "(" : help + " (") + names + ")");
+    const std::string chosen = v != nullptr ? *v : def;
+    if (std::find(allowed.begin(), allowed.end(), chosen) != allowed.end())
+      return chosen;
+    throw std::invalid_argument("--" + key + "=" + chosen +
+                                " is not a valid choice (use " + names + ")");
   }
 
   /// Parses a comma-separated integer list, e.g. "--T=1,2,4".
   [[nodiscard]] std::vector<std::int64_t> get_int_list(
-      const std::string& key, std::vector<std::int64_t> def) const {
-    const auto it = kv_.find(key);
-    if (it == kv_.end()) return def;
+      const std::string& key, const std::vector<std::int64_t>& def,
+      const std::string& help = {}) const {
+    std::vector<std::string> shown;
+    for (const std::int64_t d : def) shown.push_back(std::to_string(d));
+    const std::string* v = value(key, join(shown, ","), help);
+    if (v == nullptr) return def;
     std::vector<std::int64_t> out;
-    std::stringstream ss(it->second);
+    std::stringstream ss(*v);
     std::string item;
     while (std::getline(ss, item, ','))
       out.push_back(parse_number<std::int64_t>(key, item, "an integer"));
@@ -104,7 +136,65 @@ class Args {
     return positional_;
   }
 
+  /// The check a main calls after its last flag read, before any work:
+  /// throws Help on `--help`, and std::invalid_argument naming every flag
+  /// nothing read (or a stray positional argument).
+  void finish() const {
+    finished_ = true;
+    if (help_) throw Help{};
+    std::vector<std::string> unknown;
+    for (const auto& [key, v] : kv_)
+      if (!read_.contains(key)) unknown.push_back("--" + key);
+    if (!unknown.empty())
+      throw std::invalid_argument(
+          (unknown.size() == 1 ? "unknown flag " : "unknown flags ") +
+          join(unknown, ", ") + " (--help lists the flags)");
+    if (!positional_.empty())
+      throw std::invalid_argument("unexpected argument '" +
+                                  positional_.front() + "'");
+  }
+
+  [[nodiscard]] bool finished() const { return finished_; }
+
+  /// The `--help` listing: each flag read so far, in reading order, with
+  /// its default and help text.
+  [[nodiscard]] std::string usage(const std::string& prog) const {
+    std::size_t width = 0;
+    for (const Declared& d : declared_)
+      width = std::max(width, d.key.size() + d.def.size() + 7);
+    std::string out = "usage: " + prog + " [--flag value]...\n";
+    for (const Declared& d : declared_) {
+      std::string line = "  --" + d.key + " " + d.def;
+      if (!d.help.empty()) line.resize(width, ' ');
+      out += line + d.help + "\n";
+    }
+    return out;
+  }
+
  private:
+  struct Declared {
+    std::string key, def, help;
+  };
+
+  /// Records the read of --key for finish() and usage(), and returns its
+  /// value: nullptr when the flag is absent or only --help was asked.
+  const std::string* value(const std::string& key, const std::string& def,
+                           const std::string& help) const {
+    if (finished_)
+      throw std::logic_error("--" + key + " read after Args::finish()");
+    if (read_.insert(key).second) declared_.push_back({key, def, help});
+    const auto it = kv_.find(key);
+    return it == kv_.end() || help_ ? nullptr : &it->second;
+  }
+
+  static std::string join(const std::vector<std::string>& items,
+                          const char* sep) {
+    std::string out;
+    for (std::size_t i = 0; i < items.size(); ++i)
+      out += (i ? sep : "") + items[i];
+    return out;
+  }
+
   /// The whole of `text` as a T, or std::invalid_argument naming --key.
   template <class T>
   [[nodiscard]] static T parse_number(const std::string& key,
@@ -121,49 +211,35 @@ class Args {
 
   std::map<std::string, std::string> kv_;
   std::vector<std::string> positional_;
+  bool help_ = false;
+  // Bookkeeping of the reads, so the accessors work on a const Args.
+  mutable std::set<std::string> read_;
+  mutable std::vector<Declared> declared_;
+  mutable bool finished_ = false;
 };
 
-/// The flag set every example shares, parsed once instead of copy-pasted
-/// seven times: problem size, step count, thread count, the registry
-/// selectors, and the scenario-file escape hatch that routes a CLI run
-/// through the JSON scenario engine.
-///
-/// This layer carries RAW values only — `variant`/`op` are untouched
-/// strings because validating them against the registry is core's job
-/// (core::configure_from_args / core::make_solver), and util cannot
-/// depend on core.  Seed the struct with the example's defaults, then
-/// parse():
-///
-///   util::StandardFlags flags;
-///   flags.n = 128; flags.steps = 64; flags.threads = 2;
-///   flags.parse(args);
-///   if (!flags.scenario.empty()) return run_scenario_file(flags.scenario);
-struct StandardFlags {
-  int n = 32;            ///< --n: cubic grid extent (boundary included)
-  int steps = 8;         ///< --steps: time levels to advance
-  int threads = 2;       ///< --threads (alias --t): worker thread count
-  std::string variant;   ///< --variant: registry name, "" = example default
-  std::string op;        ///< --operator: registry name, "" = example default
-  std::string scenario;  ///< --scenario <file>: delegate to the engine
-  /// --topology: cluster fabric of the modeled scaling runs.  Raw string
-  /// for the same reason as variant/op — topo::make_fabric validates it;
-  /// the default is the paper's non-blocking fat-tree.
-  std::string topology = "fat-tree";
-  int ranks = 0;  ///< --ranks: modeled rank count (0 = example default)
-
-  void parse(const Args& args) {
-    n = static_cast<int>(args.get_int("n", n));
-    steps = static_cast<int>(args.get_int("steps", steps));
-    // --t predates --threads in several examples; accept both, with the
-    // spelled-out form winning when a caller passes the pair.
-    threads = static_cast<int>(args.get_int("t", threads));
-    threads = static_cast<int>(args.get_int("threads", threads));
-    variant = args.get("variant", variant);
-    op = args.get("operator", op);
-    scenario = args.get("scenario", scenario);
-    topology = args.get("topology", topology);
-    ranks = static_cast<int>(args.get_int("ranks", ranks));
+/// Runs `body` as a main (see the file comment).  A body that returns
+/// without calling Args::finish() would have run its work on `--help`: a
+/// bug in the main, reported with exit 1.
+inline int run_main(int argc, const char* const* argv,
+                    const std::function<int(const Args&)>& body) {
+  std::string prog = argc > 0 ? argv[0] : "main";
+  prog.erase(0, prog.find_last_of('/') + 1);
+  const Args args(argc, argv);
+  try {
+    const int rc = body(args);
+    if (args.finished()) return rc;
+    throw std::logic_error("flags were never checked (Args::finish)");
+  } catch (const Args::Help&) {
+    std::fputs(args.usage(prog).c_str(), stdout);
+    return 0;
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s: %s\n", prog.c_str(), e.what());
+    return 2;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: %s\n", prog.c_str(), e.what());
+    return 1;
   }
-};
+}
 
 }  // namespace tb::util

@@ -15,6 +15,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -66,7 +67,9 @@ class Value {
   /// decision this layer should make).
   [[nodiscard]] int as_int() const {
     const double d = as_number();
-    if (d != std::floor(d))
+    // The range check also keeps the cast below defined.
+    if (d != std::floor(d) || d < std::numeric_limits<int>::min() ||
+        d > std::numeric_limits<int>::max())
       throw std::runtime_error("json: expected an integer, got " +
                                std::to_string(d));
     return static_cast<int>(d);
@@ -132,12 +135,15 @@ namespace detail {
 class Parser {
  public:
   Parser(const std::string& text, std::string origin)
-      : s_(text), origin_(std::move(origin)) {}
+      : begin_(text.data()),
+        p_(begin_),
+        end_(begin_ + text.size()),
+        origin_(std::move(origin)) {}
 
   Value parse_document() {
     Value v = parse_value();
     skip_ws();
-    if (pos_ != s_.size()) fail("trailing content after the document");
+    if (p_ != end_) fail("trailing content after the document");
     return v;
   }
 
@@ -145,8 +151,8 @@ class Parser {
   [[noreturn]] void fail(const std::string& what) const {
     // Re-derive line/column from the byte offset only on the error path.
     int line = 1, col = 1;
-    for (std::size_t i = 0; i < pos_ && i < s_.size(); ++i) {
-      if (s_[i] == '\n') {
+    for (const char* q = begin_; q < p_ && q < end_; ++q) {
+      if (*q == '\n') {
         ++line;
         col = 1;
       } else {
@@ -158,27 +164,26 @@ class Parser {
   }
 
   void skip_ws() {
-    while (pos_ < s_.size() &&
-           (s_[pos_] == ' ' || s_[pos_] == '\t' || s_[pos_] == '\n' ||
-            s_[pos_] == '\r'))
-      ++pos_;
+    while (p_ < end_ &&
+           (*p_ == ' ' || *p_ == '\t' || *p_ == '\n' || *p_ == '\r'))
+      ++p_;
   }
 
   [[nodiscard]] char peek() {
     skip_ws();
-    if (pos_ >= s_.size()) fail("unexpected end of document");
-    return s_[pos_];
+    if (p_ >= end_) fail("unexpected end of document");
+    return *p_;
   }
 
   void expect(char c) {
     if (peek() != c)
-      fail(std::string("expected '") + c + "', got '" + s_[pos_] + "'");
-    ++pos_;
+      fail(std::string("expected '") + c + "', got '" + *p_ + "'");
+    ++p_;
   }
 
   bool consume_if(char c) {
-    if (pos_ < s_.size() && peek() == c) {
-      ++pos_;
+    if (p_ < end_ && peek() == c) {
+      ++p_;
       return true;
     }
     return false;
@@ -235,15 +240,14 @@ class Parser {
     expect('"');
     std::string out;
     while (true) {
-      if (pos_ >= s_.size()) fail("unterminated string");
-      const char c = s_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      if (pos_ >= s_.size()) fail("unterminated escape");
-      const char e = s_[pos_++];
+      // Copy the plain run up to the next quote or escape in one append.
+      const char* run = p_;
+      while (p_ < end_ && *p_ != '"' && *p_ != '\\') ++p_;
+      out.append(run, p_);
+      if (p_ >= end_) fail("unterminated string");
+      if (*p_++ == '"') return out;
+      if (p_ >= end_) fail("unterminated escape");
+      const char e = *p_++;
       switch (e) {
         case '"': out.push_back('"'); break;
         case '\\': out.push_back('\\'); break;
@@ -256,10 +260,10 @@ class Parser {
         case 'u': {
           // Config files are ASCII in practice; decode the BMP escape to
           // UTF-8 so the parser is still correct when they are not.
-          if (pos_ + 4 > s_.size()) fail("truncated \\u escape");
+          if (end_ - p_ < 4) fail("truncated \\u escape");
           unsigned cp = 0;
           for (int i = 0; i < 4; ++i) {
-            const char h = s_[pos_++];
+            const char h = *p_++;
             cp <<= 4;
             if (h >= '0' && h <= '9')
               cp |= static_cast<unsigned>(h - '0');
@@ -288,7 +292,7 @@ class Parser {
   }
 
   Value parse_bool() {
-    if (s_[pos_] == 't') {
+    if (*p_ == 't') {
       parse_literal("true");
       return Value(true);
     }
@@ -297,22 +301,20 @@ class Parser {
   }
 
   void parse_literal(const char* lit) {
-    for (const char* p = lit; *p != '\0'; ++p) {
-      if (pos_ >= s_.size() || s_[pos_] != *p)
-        fail(std::string("expected '") + lit + "'");
-      ++pos_;
+    for (const char* l = lit; *l != '\0'; ++l) {
+      if (p_ >= end_ || *p_ != *l) fail(std::string("expected '") + lit + "'");
+      ++p_;
     }
   }
 
   Value parse_number() {
-    const std::size_t start = pos_;
-    if (pos_ < s_.size() && s_[pos_] == '-') ++pos_;
-    while (pos_ < s_.size() &&
-           ((s_[pos_] >= '0' && s_[pos_] <= '9') || s_[pos_] == '.' ||
-            s_[pos_] == 'e' || s_[pos_] == 'E' || s_[pos_] == '+' ||
-            s_[pos_] == '-'))
-      ++pos_;
-    const std::string tok = s_.substr(start, pos_ - start);
+    const char* start = p_;
+    if (p_ < end_ && *p_ == '-') ++p_;
+    while (p_ < end_ && ((*p_ >= '0' && *p_ <= '9') || *p_ == '.' ||
+                         *p_ == 'e' || *p_ == 'E' || *p_ == '+' ||
+                         *p_ == '-'))
+      ++p_;
+    const std::string tok(start, p_);
     char* end = nullptr;
     const double d = std::strtod(tok.c_str(), &end);
     if (end == tok.c_str() || *end != '\0')
@@ -322,9 +324,12 @@ class Parser {
 
   static constexpr int kMaxDepth = 256;  ///< max open arrays/objects
 
-  const std::string& s_;
+  // Scanned through raw pointers: a checked std::string::operator[] per
+  // character dominates unoptimized (sanitizer) builds.
+  const char* begin_;
+  const char* p_;
+  const char* end_;
   std::string origin_;
-  std::size_t pos_ = 0;
   int depth_ = 0;
 };
 

@@ -3,11 +3,16 @@
 // engine's bit-identity guarantee — every case run through the session
 // matches a fresh StencilSolver on the same inputs.  Also pins the
 // shipped scenario files: sweep.json must expand to the >= 12-case
-// sweep the CI smoke job runs.
+// sweep the CI smoke job runs, and mutants of them parse or are rejected
+// with an exception, never crash.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <fstream>
+#include <functional>
+#include <random>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -77,6 +82,18 @@ TEST(ScenarioConfig, RepeatDuplicatesCases) {
   EXPECT_EQ(c.cases()[2].repeat_index, 2);
   EXPECT_EQ(c.cases()[2].repeat_count, 3);
   EXPECT_NE(c.cases()[0].name, c.cases()[1].name);
+}
+
+TEST(ScenarioConfig, RejectsExpansionsBeyondTheCaseBound) {
+  // Caught before the cases are built, not after 2e9 of them.
+  EXPECT_THROW(load(R"({"cases": [{"n": 8, "repeat": 2000000000}]})"),
+               std::invalid_argument);
+  EXPECT_THROW(load(R"({"defaults": {"repeat": 1000},
+                       "cases": [{"n": [8, 9, 10, 11, 12, 13, 14, 15, 16,
+                                        17, 18]}]})"),
+               std::invalid_argument);
+  EXPECT_EQ(load(R"({"cases": [{"n": 8, "repeat": 10000}]})").cases().size(),
+            10000u);
 }
 
 TEST(ScenarioConfig, ShapeTripleWinsOverN) {
@@ -378,6 +395,78 @@ TEST(ScenarioEngine, ShippedScenariosParse) {
   for (const CaseSpec& spec : lid.cases())
     if (geometry_is_codes(spec)) codes = true;
   EXPECT_TRUE(codes);
+}
+
+// Seeded mutation fuzzing of the scenario parser (util/json underneath
+// ScenarioConfig): byte flips, truncations and splices of the shipped
+// files.  Each mutant must load or be rejected with the parser's own
+// exceptions; anything else (a crash, a sanitizer report, another
+// exception type) fails.  The RNG seed fixes the mutant sequence.
+TEST(ScenarioFuzz, MutatedShippedScenariosParseOrThrow) {
+  // Claims the "cluster" section without running its sweep, so the
+  // cluster file's mutants reach the rest of the parser.
+  struct IgnoreSection final : IScenarioConsumer {
+    [[nodiscard]] std::string_view section() const override {
+      return "cluster";
+    }
+    void consume(const util::json::Value&) override {}
+  } cluster;
+
+  std::vector<std::string> seeds;
+  for (const char* file : {"sweep.json", "lid_cavity.json", "quickstart.json",
+                           "composite.json", "cluster_weak.json"}) {
+    std::ifstream in(std::string(TB_SCENARIO_DIR) + "/" + file);
+    std::ostringstream text;
+    text << in.rdbuf();
+    ASSERT_FALSE(text.str().empty()) << file;
+    seeds.push_back(text.str());
+  }
+
+  using Rng = std::mt19937_64;
+  Rng rng(20100419);
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  // JSON structure and digits make far more interesting flips than
+  // arbitrary bytes: they open, close and re-type values.
+  const std::string alphabet = "{}[]\":,.-+eE0123456789 tfn\\/u";
+  const std::vector<std::function<void(std::string&)>> mutations = {
+      [&](std::string& t) {  // flip one bit
+        if (!t.empty()) t[pick(t.size())] ^= static_cast<char>(1 << pick(8));
+      },
+      [&](std::string& t) {  // overwrite one byte with a JSON token char
+        if (!t.empty()) t[pick(t.size())] = alphabet[pick(alphabet.size())];
+      },
+      [&](std::string& t) { t.resize(pick(t.size() + 1)); },  // truncate
+      [&](std::string& t) {  // splice in a slice of any shipped file
+        const std::string& from = seeds[pick(seeds.size())];
+        const std::size_t at = pick(from.size());
+        const std::string slice = from.substr(at, 1 + pick(32));
+        const std::size_t pos = pick(t.size() + 1);
+        t.replace(pos, pick(8), slice);
+      },
+  };
+
+  const int kMutants = 100000;
+  int loaded = 0, rejected = 0;
+  for (int m = 0; m < kMutants; ++m) {
+    std::string text = seeds[pick(seeds.size())];
+    for (std::size_t k = 1 + pick(3); k > 0; --k)
+      mutations[pick(mutations.size())](text);
+    try {
+      ScenarioConfig config;
+      config.register_consumer(&cluster);
+      config.load_text(text, "mutant");
+      ++loaded;
+    } catch (const std::invalid_argument&) {
+      ++rejected;
+    } catch (const std::runtime_error&) {
+      ++rejected;
+    }
+  }
+  EXPECT_EQ(loaded + rejected, kMutants);
+  EXPECT_GT(loaded, 0) << "no mutant survived: the mutations are too coarse";
+  EXPECT_GT(rejected, 0);
 }
 
 }  // namespace

@@ -26,6 +26,13 @@ TEST(Json, IntRejectsFractions) {
   EXPECT_EQ(parse("2.0").as_int(), 2);  // integral value, fine
 }
 
+TEST(Json, IntRejectsValuesOutsideInt) {
+  EXPECT_THROW((void)parse("3e9").as_int(), std::runtime_error);
+  EXPECT_THROW((void)parse("-3e9").as_int(), std::runtime_error);
+  EXPECT_THROW((void)parse("1e999").as_int(), std::runtime_error);
+  EXPECT_EQ(parse("-2147483648").as_int(), -2147483647 - 1);
+}
+
 TEST(Json, ArraysAndNesting) {
   const Value v = parse("[1, [2, 3], {\"a\": 4}]");
   const Array& a = v.as_array();

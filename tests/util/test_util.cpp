@@ -4,7 +4,12 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <new>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "util/aligned_buffer.hpp"
 #include "util/args.hpp"
@@ -187,6 +192,90 @@ TEST(Args, MalformedNumbersThrowNamingTheFlag) {
   EXPECT_EQ(message([&] { return args.get_int("big", 0); }),
             "--big=99999999999999999999 is not an integer");
   EXPECT_EQ(args.get_int("neg", 0), -3);
+}
+
+TEST(Args, BooleansRejectOtherWords) {
+  const char* argv[] = {"prog", "--a", "no", "--b=1", "--c", "flase"};
+  Args args(static_cast<int>(std::size(argv)), argv);
+  EXPECT_FALSE(args.get_bool("a", true));
+  EXPECT_TRUE(args.get_bool("b", false));
+  EXPECT_THROW((void)args.get_bool("c", false), std::invalid_argument);
+}
+
+/// run_main over `argv` with `body`: the exit code and what it printed.
+struct MainResult {
+  int rc = -1;
+  std::string out, err;
+};
+
+MainResult run(std::vector<const char*> argv,
+               const std::function<int(const Args&)>& body) {
+  testing::internal::CaptureStdout();
+  testing::internal::CaptureStderr();
+  MainResult r;
+  r.rc = run_main(static_cast<int>(argv.size()), argv.data(), body);
+  r.out = testing::internal::GetCapturedStdout();
+  r.err = testing::internal::GetCapturedStderr();
+  return r;
+}
+
+TEST(RunMain, BadAllocExitsOneWithAMessage) {
+  const MainResult r = run({"/bin/prog"}, [](const Args& args) -> int {
+    args.finish();
+    throw std::bad_alloc();
+  });
+  EXPECT_EQ(r.rc, 1);
+  EXPECT_EQ(r.err.rfind("prog: ", 0), 0u) << r.err;
+}
+
+TEST(RunMain, InvalidArgumentExitsTwo) {
+  const MainResult r = run({"prog", "--steps", "abc"}, [](const Args& args) {
+    (void)args.get_int("steps", 1, "levels");
+    args.finish();
+    return 0;
+  });
+  EXPECT_EQ(r.rc, 2);
+  EXPECT_EQ(r.err, "prog: --steps=abc is not an integer\n");
+}
+
+TEST(RunMain, UnreadFlagIsRejectedBeforeTheWork) {
+  bool worked = false;
+  const MainResult r =
+      run({"prog", "--n", "4", "--stepz", "3"}, [&](const Args& args) {
+        EXPECT_EQ(args.get_int("n", 1, "extent"), 4);
+        (void)args.get_int("steps", 1, "levels");
+        args.finish();
+        worked = true;
+        return 0;
+      });
+  EXPECT_EQ(r.rc, 2);
+  EXPECT_FALSE(worked);
+  EXPECT_NE(r.err.find("unknown flag --stepz"), std::string::npos) << r.err;
+}
+
+TEST(RunMain, HelpListsTheFlagsAndRunsNothing) {
+  bool worked = false;
+  const auto body = [&](const Args& args) {
+    (void)args.get_int("n", 64, "grid extent");
+    (void)args.get_choice("variant", "pipelined", {"baseline", "pipelined"});
+    args.finish();
+    worked = true;
+    return 3;
+  };
+  // --help wins over a malformed value: nothing is parsed, nothing runs.
+  const MainResult r = run({"prog", "--help", "--n", "abc"}, body);
+  EXPECT_EQ(r.rc, 0);
+  EXPECT_FALSE(worked);
+  EXPECT_EQ(r.out,
+            "usage: prog [--flag value]...\n"
+            "  --n 64               grid extent\n"
+            "  --variant pipelined  (baseline|pipelined)\n");
+}
+
+TEST(RunMain, BodyThatNeverChecksItsFlagsFails) {
+  const MainResult r = run({"prog"}, [](const Args&) { return 0; });
+  EXPECT_EQ(r.rc, 1);
+  EXPECT_NE(r.err.find("Args::finish"), std::string::npos) << r.err;
 }
 
 TEST(ThreadPool, RunsAllWorkers) {
